@@ -16,12 +16,12 @@ type commit_mode =
       (** Stable-SLB commit: durable the moment the committed-list entry is
           written to stable memory — the paper's design. *)
   | Group of group_commit
-      (** FASTPATH-style group commit: precommit releases locks and stages
-          the transaction's REDO in volatile memory; the group officially
-          commits — all staged chains materialized into stable memory in
-          coalesced batch writes, then ring-committed in precommit order —
-          when [batch_size] transactions have accumulated, the [timeout_us]
-          deadline fires, or {!Db.flush_group} is called. *)
+      (** FASTPATH-style group commit: the REDO reaches the SLB exactly as
+          under [Instant], but precommit releases locks without writing
+          the commit record; the group officially commits — commit records
+          written in precommit order — when [batch_size] transactions have
+          accumulated, the [timeout_us] deadline fires, or
+          {!Db.flush_group} is called. *)
   | Disk_force
       (** Conventional disk-WAL baseline: commit additionally forces the
           transaction's log records to the log disk and waits. *)

@@ -174,36 +174,22 @@ let ensure_relation t name =
 
 let ckpt_mgr t = Recovery_mgr.ckpt_mgr t.recovery
 
-(* Flush the pending commit group (group-commit mode).  Checkpoints MUST
-   go through this first: a precommitted transaction has released its
-   locks while its REDO is still in volatile staging, so an image taken
-   before the flush would durably capture effects whose commit record
-   could still be lost in a crash — recovery would resurrect a
-   transaction that never durably committed.  Kept free of checkpoint
-   work itself so the checkpoint entry points can call it without
-   mutual recursion (the public {!flush_group} adds the auto-checkpoint
-   poll). *)
+(* Flush the pending commit group (group-commit mode).  The group's REDO
+   chains are already in stable memory (appended as uncommitted chains);
+   the flush writes only the deferred ring entries, in precommit order, so
+   the global commit_seq stream the drain merge reconstructs is exactly
+   the order the transactions entered the group.  Checkpoints MUST go
+   through this first: a precommitted transaction has released its locks
+   before its ring entry exists, so an image taken before the flush would
+   durably capture effects whose commit could still be lost in a crash —
+   recovery would resurrect a transaction that never durably committed.
+   Kept free of checkpoint work itself so the checkpoint entry points can
+   call it without mutual recursion (the public {!flush_group} adds the
+   auto-checkpoint poll). *)
 let flush_pending t v =
   if not (Queue.is_empty v.group) then begin
     v.group_epoch <- v.group_epoch + 1;
     let batch = Queue.length v.group in
-    (* Pass 1: materialize every staged chain into block images, buffered
-       per region, so each region's whole batch reaches stable memory in
-       coalesced run writes — the group's REDO typically lands in one
-       stable-memory write per region. *)
-    Queue.iter
-      (fun (tx, _) ->
-        Slb.Region.materialize
-          (Slb.region v.slb (Txn_core.executor tx))
-          ~txn_id:(Txn_core.id tx))
-      v.group;
-    let writes = ref 0 in
-    for i = 0 to Slb.regions v.slb - 1 do
-      writes := !writes + Slb.Region.flush_batch (Slb.region v.slb i)
-    done;
-    (* Pass 2: ring entries in precommit order — the global commit_seq
-       stream the drain merge reconstructs is exactly the order the
-       transactions entered the group. *)
     while not (Queue.is_empty v.group) do
       let tx, enq = Queue.take v.group in
       Slb.Region.commit
@@ -219,8 +205,7 @@ let flush_pending t v =
     done;
     Db_system.drain (ctx t);
     Mrdb_obs.Metrics.observe (Mrdb_obs.Obs.group_batch t.obs) batch;
-    Trace.incr t.trace "group_flushes";
-    Trace.add t.trace "group_flush_writes" !writes
+    Trace.incr t.trace "group_flushes"
   end
 
 let process_checkpoints t =
@@ -269,8 +254,8 @@ let commit t tx =
       maybe_auto_checkpoint t;
       observe_txn_latency t tx
   | Config.Group { Config.batch_size; timeout_us } ->
-      (* Precommit: locks released, staged REDO stays volatile awaiting
-         the group's official commit. *)
+      (* Precommit: locks released; the REDO chain is in stable memory
+         but uncommitted until the group's flush writes its ring entry. *)
       Txn_core.Manager.precommit v.txn_mgr tx;
       ignore (Lock_mgr.release_all v.lock_mgr ~txn:(Txn_core.id tx));
       Queue.add (tx, Sim.now t.sim) v.group;

@@ -82,18 +82,18 @@ val begin_txn : ?declare:string list -> ?executor:int -> t -> txn
 val txn_id : txn -> int
 val commit : t -> txn -> unit
 (** Commit per the configured {!Config.commit_mode}.  Under [Group _] the
-    transaction precommits and joins the current group; its REDO stays in
-    a volatile staging buffer until the group flushes (when the batch
-    size is reached, the group timeout fires on the simulated clock, or
-    {!flush_group} is called). *)
+    transaction precommits and joins the current group; its REDO chain is
+    already in stable memory, but its commit record (the SLB ring entry)
+    waits until the group flushes (when the batch size is reached, the
+    group timeout fires on the simulated clock, or {!flush_group} is
+    called). *)
 
 val abort : t -> txn -> unit
 val flush_group : t -> unit
-(** Officially commit the pending group now: every staged chain is
-    materialized into stable memory in coalesced per-region batch writes,
-    then ring-committed in precommit order — still a stable-memory write,
-    not a disk force.  No-op outside group mode or when the group is
-    empty. *)
+(** Officially commit the pending group now: write each queued
+    transaction's commit record in precommit order — a stable-memory
+    write, not a disk force.  No-op outside group mode or when the group
+    is empty. *)
 
 val with_txn : ?executor:int -> t -> (txn -> 'a) -> 'a
 (** Run, commit on return, abort on exception (re-raised); [executor] as
@@ -128,7 +128,7 @@ val process_checkpoints : t -> int
     pending group is flushed first (as in {!checkpoint_partition}): a
     precommitted transaction has already released its locks, so an image
     taken before the flush could durably capture effects whose commit
-    record is still volatile — recovery would then resurrect a
+    record is not yet written — recovery would then resurrect a
     transaction that never durably committed. *)
 
 val pending_checkpoints : t -> int

@@ -153,11 +153,6 @@ let user_sink ctx v tx : Relation.log_sink =
   | None ->
       let region = Slb.region v.slb (Txn_core.executor tx) in
       let txn_id = Txn_core.id tx in
-      let staged =
-        match ctx.cfg.Config.commit_mode with
-        | Config.Group _ -> true
-        | Config.Instant | Config.Disk_force -> false
-      in
       let s (part : Addr.partition) ~redo ~undo =
         if part.Addr.segment <> Catalog.catalog_segment_id then
           ensure_registered ctx v part;
@@ -166,8 +161,8 @@ let user_sink ctx v tx : Relation.log_sink =
         let seq = next_seq v part in
         (* The transaction's appends land in its executor's own SLB region —
            the whole point of the striping (lint R7 confines this call
-           site).  Group mode stages in volatile memory instead; the group
-           flush materializes the chain into the same region. *)
+           site).  Every commit mode appends here; group commit defers
+           only the ring entry. *)
         let physical () =
           Log_record.make ~tag:(tag_for v part) ~bin_index ~txn_id ~seq ~op:redo
         in
@@ -186,8 +181,7 @@ let user_sink ctx v tx : Relation.log_sink =
                 Log_record.make_cmd ~bin_index ~txn_id ~seq ~cmd
             | Some _ | None -> physical ()
         in
-        if staged then Slb.Region.stage_append region ~txn_id record
-        else Slb.Region.append region ~txn_id record;
+        Slb.Region.append region ~txn_id record;
         Trace.incr ctx.trace "log_records";
         Trace.add ctx.trace "codec_log_bytes" (Log_record.encoded_size record)
       in

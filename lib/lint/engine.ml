@@ -90,13 +90,11 @@ let rec fault_injection_call = function
   | [] -> None
 
 (* R7: does the reference path name an SLB append?  Matches [Slb.append],
-   [Slb.Region.append], the group-commit staging spelling
-   [Slb.Region.stage_append], and their [Mrdb_wal]-qualified variants —
-   "Slb" anywhere in the path with "append"/"stage_append" after it. *)
+   [Slb.Region.append] and their [Mrdb_wal]-qualified variants — "Slb"
+   anywhere in the path with "append" after it. *)
 let rec slb_append_call = function
   | "Slb" :: rest ->
-      if List.mem "append" rest || List.mem "stage_append" rest then
-        Some ("Slb." ^ String.concat "." rest)
+      if List.mem "append" rest then Some ("Slb." ^ String.concat "." rest)
       else slb_append_call rest
   | _ :: rest -> slb_append_call rest
   | [] -> None

@@ -401,13 +401,7 @@ let default_config =
         };
         {
           res_name = "striped SLB regions";
-          res_write_idents =
-            [
-              ("Slb", "append");
-              ("Region", "append");
-              ("Slb", "stage_append");
-              ("Region", "stage_append");
-            ];
+          res_write_idents = [ ("Slb", "append"); ("Region", "append") ];
           res_fields = [];
           res_owners = [ "wal/"; "core/db_system.ml" ];
         };

@@ -127,7 +127,7 @@ module Manager = struct
     drop_undo mgr t;
     t.status <- Precommitted;
     (* A precommitted transaction no longer references arena staging: its
-       undo is discarded and its redo already reached the WAL layer. *)
+       undo is discarded and its redo is already in the SLB. *)
     leave_active mgr t
 
   let finalize_commit mgr t =

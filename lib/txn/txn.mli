@@ -5,13 +5,13 @@
 
     {v Active --(abort)--> Aborted
        Active --(commit, stable SLB)-----------> Committed
-       Active --(precommit, group commit)--> Precommitted --(log durable)--> Committed v}
+       Active --(precommit, group commit)--> Precommitted --(group flush)--> Committed v}
 
     With a {e stable} log buffer, transactions "commit instantly — they do
     not need to wait until the REDO log records are flushed to disk"
     (§2.3.1).  In group-commit mode (FASTPATH-style, §1.2) a transaction
-    precommits — releasing its locks — and officially commits once its log
-    information reaches the disk.
+    precommits — releasing its locks — and officially commits once its
+    group flushes and its commit record is written.
 
     A transaction carries its UNDO chain; abort decodes it and applies the
     inverse operations in reverse order through a partition resolver, then

@@ -9,16 +9,6 @@ let payload_off = 12
 
 type chain = { mutable first : int; mutable last : int }
 
-(* Volatile group-commit staging: a transaction's framed records accumulate
-   here (not in stable memory) until the group flushes.  Reused through the
-   region's pool, growing by doubling — the steady-state staged append
-   allocates nothing. *)
-type stage = {
-  mutable sb : bytes;
-  mutable sused : int;
-  mutable srecords : int;
-}
-
 type region = {
   owner : int; (* region id = owning executor id *)
   layout : Stable_layout.t;
@@ -27,14 +17,6 @@ type region = {
   scratch : bytes; (* append framing buffer: one frame composed, one write *)
   rscratch : bytes; (* drain read buffer: one block payload decoded in place *)
   recorder : Mrdb_obs.Flight_recorder.t option ref; (* shared with t *)
-  stages : (int, stage) Hashtbl.t; (* txn -> volatile staged records *)
-  mutable stage_pool : stage list;
-  (* Group-flush materialization batch: composed block images (header +
-     payload per block-sized slot) and their allocated block ids, written
-     to stable memory in coalesced runs by [flush_batch]. *)
-  mutable batch : bytes;
-  mutable batch_ids : int array;
-  mutable batch_n : int;
 }
 
 type t = {
@@ -56,11 +38,6 @@ let mk_region layout recorder owner =
     scratch = Bytes.create block_bytes;
     rscratch = Bytes.create block_bytes;
     recorder;
-    stages = Hashtbl.create 16;
-    stage_pool = [];
-    batch = Bytes.create 0;
-    batch_ids = [||];
-    batch_n = 0;
   }
 
 let create layout =
@@ -74,8 +51,6 @@ let create layout =
   }
 
 let set_recorder t recorder = t.recorder := recorder
-
-let regions t = Array.length t.regions
 
 let region t i =
   if i < 0 || i >= Array.length t.regions then
@@ -172,163 +147,6 @@ module Region = struct
         Mrdb_obs.Flight_recorder.slb_append fr ~txn:txn_id ~bytes:frame
           ~exec:r.owner
 
-  (* -- group-commit staging ------------------------------------------------ *)
-
-  let stage_append r ~txn_id record =
-    let size = Log_record.encoded_size record in
-    let frame = 2 + size in
-    if frame > block_bytes r - payload_off then
-      Mrdb_util.Fatal.misuse "Slb.stage_append: record exceeds block size";
-    let st =
-      match Hashtbl.find r.stages txn_id with
-      | st -> st
-      | exception Not_found ->
-          let st =
-            match r.stage_pool with
-            | st :: rest ->
-                r.stage_pool <- rest;
-                st.sused <- 0;
-                st.srecords <- 0;
-                st
-            | [] -> { sb = Bytes.create 256; sused = 0; srecords = 0 }
-          in
-          Hashtbl.add r.stages txn_id st;
-          st
-    in
-    if st.sused + frame > Bytes.length st.sb then begin
-      let cap = ref (Stdlib.max 256 (Bytes.length st.sb)) in
-      while st.sused + frame > !cap do
-        cap := !cap * 2
-      done;
-      let nb = Bytes.create !cap in
-      Bytes.blit st.sb 0 nb 0 st.sused;
-      st.sb <- nb
-    end;
-    Mrdb_util.Codec.put_u16 st.sb st.sused size;
-    let stop = Log_record.encode_into record st.sb ~pos:(st.sused + 2) in
-    if stop <> st.sused + frame then
-      Mrdb_util.Fatal.invariantf ~mod_:"Slb"
-        "stage_append: encoded %d bytes but encoded_size said %d"
-        (stop - st.sused - 2) size;
-    st.sused <- st.sused + frame;
-    st.srecords <- st.srecords + 1;
-    match !(r.recorder) with
-    | None -> ()
-    | Some fr ->
-        Mrdb_obs.Flight_recorder.slb_append fr ~txn:txn_id ~bytes:frame
-          ~exec:r.owner
-
-  let stage_discard r ~txn_id =
-    match Hashtbl.find_opt r.stages txn_id with
-    | None -> ()
-    | Some st ->
-        Hashtbl.remove r.stages txn_id;
-        r.stage_pool <- st :: r.stage_pool
-
-  let ensure_batch_room r n =
-    let bb = block_bytes r in
-    if n * bb > Bytes.length r.batch then begin
-      let cap = ref (Stdlib.max bb (Bytes.length r.batch)) in
-      while n * bb > !cap do
-        cap := !cap * 2
-      done;
-      let nb = Bytes.create !cap in
-      Bytes.blit r.batch 0 nb 0 (r.batch_n * bb);
-      r.batch <- nb
-    end;
-    if n > Array.length r.batch_ids then begin
-      let ni = Array.make (Stdlib.max 8 (2 * Array.length r.batch_ids)) (-1) in
-      Array.blit r.batch_ids 0 ni 0 r.batch_n;
-      r.batch_ids <- ni
-    end
-
-  (* Turn a staged transaction's frames into chained block images inside
-     the region's batch buffer (allocating the blocks now, writing nothing
-     to stable memory yet) and register the chain as uncommitted.  The
-     caller must run [flush_batch] before committing the chain — the ring
-     entry is the commit point and must not precede the block contents. *)
-  let materialize r ~txn_id =
-    match Hashtbl.find r.stages txn_id with
-    | exception Not_found -> () (* read-only transaction: nothing staged *)
-    | st ->
-        Hashtbl.remove r.stages txn_id;
-        let bb = block_bytes r in
-        let first = ref (-1) and last_slot = ref (-1) and last_b = ref (-1) in
-        let cur_used = ref 0 in
-        let pos = ref 0 in
-        while !pos < st.sused do
-          let len = Mrdb_util.Codec.get_u16 st.sb !pos in
-          let frame = 2 + len in
-          if !last_slot < 0 || payload_off + !cur_used + frame > bb then begin
-            let b =
-              match Mrdb_hw.Stable_mem.Blocks.alloc r.blocks with
-              | None -> raise Slb_full
-              | Some b -> b
-            in
-            ensure_batch_room r (r.batch_n + 1);
-            let slot = r.batch_n in
-            r.batch_n <- slot + 1;
-            r.batch_ids.(slot) <- b;
-            let off = slot * bb in
-            Mrdb_util.Codec.put_u32 r.batch (off + hdr_txn) txn_id;
-            Mrdb_util.Codec.put_u32 r.batch (off + hdr_next) 0;
-            if !last_slot >= 0 then begin
-              (* Patch the previous image: link + final used count. *)
-              Mrdb_util.Codec.put_u32 r.batch ((!last_slot * bb) + hdr_next)
-                (b + 1);
-              Mrdb_util.Codec.put_u32 r.batch ((!last_slot * bb) + hdr_used)
-                !cur_used
-            end
-            else first := b;
-            last_slot := slot;
-            last_b := b;
-            cur_used := 0
-          end;
-          Bytes.blit st.sb !pos r.batch
-            ((!last_slot * bb) + payload_off + !cur_used)
-            frame;
-          cur_used := !cur_used + frame;
-          pos := !pos + frame
-        done;
-        Mrdb_util.Codec.put_u32 r.batch ((!last_slot * bb) + hdr_used) !cur_used;
-        Hashtbl.replace r.chains txn_id { first = !first; last = !last_b };
-        r.stage_pool <- st :: r.stage_pool
-
-  (* Write the materialized batch to stable memory, coalescing runs of
-     consecutive block ids into single writes (the block allocator scans
-     forward from a hint, so a whole group's blocks are usually one run).
-     Returns the number of stable-memory writes issued. *)
-  let flush_batch r =
-    let bb = block_bytes r in
-    let writes = ref 0 in
-    let i = ref 0 in
-    while !i < r.batch_n do
-      let j = ref (!i + 1) in
-      while !j < r.batch_n && r.batch_ids.(!j) = r.batch_ids.(!j - 1) + 1 do
-        incr j
-      done;
-      let run = !j - !i in
-      Mrdb_hw.Stable_mem.write_sub (mem r)
-        ~off:(block_off r r.batch_ids.(!i))
-        r.batch ~pos:(!i * bb) ~len:(run * bb);
-      incr writes;
-      i := !j
-    done;
-    r.batch_n <- 0;
-    !writes
-
-  let staged_records_of r ~txn_id =
-    match Hashtbl.find_opt r.stages txn_id with
-    | None -> []
-    | Some st ->
-        let acc = ref [] and pos = ref 0 in
-        while !pos < st.sused do
-          let len = Mrdb_util.Codec.get_u16 st.sb !pos in
-          acc := Log_record.decode_at st.sb ~pos:(!pos + 2) ~len :: !acc;
-          pos := !pos + 2 + len
-        done;
-        List.rev !acc
-
   let iter_chain_raw r first ~f =
     let b = ref first in
     while !b >= 0 do
@@ -367,14 +185,6 @@ module Region = struct
     done
 
   let commit (r : t) ~txn_id =
-    (* A still-staged chain must reach stable memory before the ring entry
-       makes the transaction durable; normally the group flush has already
-       materialized the whole batch, so this is a no-op fallback for
-       stragglers committed individually. *)
-    if Hashtbl.mem r.stages txn_id then begin
-      materialize r ~txn_id;
-      ignore (flush_batch r : int)
-    end;
     match Hashtbl.find_opt r.chains txn_id with
     | None -> () (* read-only transaction: nothing to log *)
     | Some chain ->
@@ -393,7 +203,6 @@ module Region = struct
         Hashtbl.remove r.chains txn_id
 
   let abort r ~txn_id =
-    stage_discard r ~txn_id;
     match Hashtbl.find_opt r.chains txn_id with
     | None -> ()
     | Some chain ->
@@ -402,14 +211,14 @@ module Region = struct
 
   let records_of r ~txn_id =
     match Hashtbl.find_opt r.chains txn_id with
-    | None -> staged_records_of r ~txn_id
+    | None -> []
     | Some chain -> decode_chain r chain.first
 
   let pending_committed (r : t) =
     Stable_layout.committed_tail r.layout ~region:r.owner
     - Stable_layout.committed_head r.layout ~region:r.owner
 
-  let uncommitted_count r = Hashtbl.length r.chains + Hashtbl.length r.stages
+  let uncommitted_count r = Hashtbl.length r.chains
   let blocks_free r = Mrdb_hw.Stable_mem.Blocks.free_count r.blocks
 
   (* Sequence number of the oldest undrained commit; -1 when none.  An int

@@ -47,8 +47,6 @@ val set_recorder : t -> Mrdb_obs.Flight_recorder.t option -> unit
     bench/hotpath.ml's [append_obs] bounds the cost).  [None] detaches;
     the recorder is shared by all regions. *)
 
-val regions : t -> int
-
 (** Per-region operations — the striped API.  An executor must only touch
     its own region (lint rule R7 confines the append call sites). *)
 module Region : sig
@@ -63,34 +61,13 @@ module Region : sig
       write — the steady-state append path allocates nothing.
       @raise Slb_full when the region has no free block. *)
 
-  val stage_append : t -> txn_id:int -> Log_record.t -> unit
-  (** Group-commit append: the framed record accumulates in a {e volatile}
-      per-transaction staging buffer (pooled, no steady-state allocation)
-      instead of stable memory — the transaction is not durable until the
-      group flush materializes its chain.  A crash before the flush loses
-      the staged records, exactly the FASTPATH precommit window. *)
-
-  val materialize : t -> txn_id:int -> unit
-  (** Convert a staged transaction's records into chained block images in
-      the region's batch buffer, allocating its stable-memory blocks, and
-      register the chain as uncommitted.  Writes nothing to stable memory:
-      call {!flush_batch} before {!commit}ing any materialized chain.
-      No-op for transactions with nothing staged.
-      @raise Slb_full when the region has no free block. *)
-
-  val flush_batch : t -> int
-  (** Write every materialized block image to stable memory, coalescing
-      runs of consecutive block ids into single writes — a whole group's
-      REDO typically lands in one stable-memory write per region.  Returns
-      the number of writes issued (0 when nothing is pending). *)
-
   val commit : t -> txn_id:int -> unit
   (** Move the chain to this region's committed ring (the commit point),
       stamped with the next global commit sequence number.  A transaction
-      with no records commits trivially without a ring entry.  A chain
-      still sitting in the staging buffer is materialized and flushed
-      first, so commit never makes a transaction durable before its
-      records are.
+      with no records commits trivially without a ring entry.  Group
+      commit calls this late, at the group flush: the chain has sat in
+      stable memory as an uncommitted chain since the appends, so only
+      the ring entry is deferred.
       @raise Slb_full when the region's ring stripe is full. *)
 
   val abort : t -> txn_id:int -> unit
@@ -130,7 +107,8 @@ val abort : t -> txn_id:int -> unit
 
 val records_of : t -> txn_id:int -> Log_record.t list
 (** Current (uncommitted) chain contents, oldest first, searching all
-    regions — test hook. *)
+    regions — test hook.  Covers precommitted group-commit transactions
+    too: their chains are uncommitted until the group flushes. *)
 
 val pending_committed : t -> int
 (** Committed transactions not yet drained, all regions. *)

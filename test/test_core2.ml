@@ -63,6 +63,126 @@ let test_group_commit_flush_on_group_boundary_is_durable () =
   Db.recover db;
   check int_t "all four durable" 4 (List.length (kv_of db))
 
+let insert_committed db i s =
+  let tx = Db.begin_txn db in
+  ignore (Db.insert db tx ~rel:"t" [| Schema.int i; Schema.S s |]);
+  Db.commit db tx;
+  Db.txn_id tx
+
+let test_group_commit_precommitted_redo_in_slb () =
+  (* Group commit defers only the commit record: a precommitted
+     transaction's REDO is already an uncommitted SLB chain. *)
+  let config = { Config.small with Config.commit_mode = Config.group 10 } in
+  let db = Db.create ~config () in
+  Db.create_relation db ~name:"t" ~schema;
+  let first = insert_committed db 1 "x" in
+  (* Count from here: the first insert also registered the partition. *)
+  let written () = Mrdb_hw.Stable_mem.bytes_written (Db.stable_mem db) in
+  let log_bytes () = Mrdb_sim.Trace.count (Db.trace db) "codec_log_bytes" in
+  let written0 = written () and log0 = log_bytes () in
+  let ids = first :: List.map (fun i -> insert_committed db i "x") [ 2; 3 ] in
+  check bool_t "REDO written to stable memory at append" true
+    (written () - written0 >= log_bytes () - log0);
+  let slb = Db.slb db in
+  check int_t "three uncommitted chains" 3 (Mrdb_wal.Slb.uncommitted_count slb);
+  check int_t "no commit records yet" 0 (Mrdb_wal.Slb.pending_committed slb);
+  List.iter
+    (fun id ->
+      check bool_t "chain readable before the flush" true
+        (Mrdb_wal.Slb.records_of slb ~txn_id:id <> []))
+    ids;
+  Db.flush_group db;
+  check int_t "flush commits every chain" 0 (Mrdb_wal.Slb.uncommitted_count slb)
+
+let test_group_commit_crash_frees_unflushed_chains () =
+  let config = { Config.small with Config.commit_mode = Config.group 10 } in
+  let db = Db.create ~config () in
+  Db.create_relation db ~name:"t" ~schema;
+  List.iter (fun i -> ignore (insert_committed db i "x")) [ 1; 2; 3 ];
+  check bool_t "precommitted chains hold blocks" true
+    (Mrdb_wal.Slb.blocks_free (Db.slb db)
+    < config.Config.stable.Mrdb_wal.Stable_layout.slb_block_count);
+  Db.crash db;
+  Db.recover db;
+  check int_t "no chain survives" 0 (Mrdb_wal.Slb.uncommitted_count (Db.slb db));
+  check int_t "every block free again"
+    config.Config.stable.Mrdb_wal.Stable_layout.slb_block_count
+    (Mrdb_wal.Slb.blocks_free (Db.slb db));
+  check int_t "nothing recovered" 0 (List.length (kv_of db))
+
+let test_group_batch_one_matches_instant () =
+  (* Group commit with a batch of one writes the same bytes to stable
+     memory and the log disk as instant commit: the modes differ only in
+     when locks are released relative to the commit record. *)
+  let run mode =
+    let config = { Config.small with Config.commit_mode = mode } in
+    let db = Db.create ~config () in
+    Db.create_relation db ~name:"t" ~schema;
+    let addrs = Array.make 20 None in
+    for i = 0 to 199 do
+      let k = i * 7 mod 20 in
+      let tx = Db.begin_txn db in
+      (match addrs.(k) with
+      | None ->
+          addrs.(k) <- Some (Db.insert db tx ~rel:"t" [| Schema.int k; Schema.S "v" |])
+      | Some a ->
+          addrs.(k) <-
+            Some (Db.update_field db tx ~rel:"t" a ~column:"v"
+                    (Schema.S (string_of_int i))));
+      Db.commit db tx
+    done;
+    Db.quiesce db;
+    let mem = Db.stable_mem db in
+    let image = Mrdb_hw.Stable_mem.read mem ~off:0 ~len:(Mrdb_hw.Stable_mem.size mem) in
+    let written = Mrdb_hw.Stable_mem.bytes_written mem in
+    let pages = Mrdb_wal.Log_disk.pages_written (Db.log_disk db) in
+    let ckpts = Mrdb_sim.Trace.count (Db.trace db) "checkpoints" in
+    (image, written, pages, ckpts, kv_of db)
+  in
+  let img_i, bytes_i, pages_i, ckpts_i, kv_i = run Config.Instant in
+  let img_g, bytes_g, pages_g, ckpts_g, kv_g = run (Config.group 1) in
+  check bool_t "stable memory byte-identical" true (Bytes.equal img_i img_g);
+  check int_t "stable bytes written" bytes_i bytes_g;
+  check int_t "log pages written" pages_i pages_g;
+  check int_t "checkpoints" ckpts_i ckpts_g;
+  check
+    (Alcotest.list (Alcotest.pair int_t Alcotest.string))
+    "same committed state" kv_i kv_g
+
+let test_group_commit_slb_full_at_append () =
+  (* With the REDO in the SLB from the first append, SLB exhaustion
+     surfaces in the transaction that needs the block — never inside the
+     group flush — and the pending group still commits durably. *)
+  let config =
+    {
+      Config.small with
+      Config.commit_mode = Config.group 100;
+      stable = { Config.small.Config.stable with Mrdb_wal.Stable_layout.slb_block_count = 12 };
+    }
+  in
+  let db = Db.create ~config () in
+  Db.create_relation db ~name:"t" ~schema;
+  let precommitted = ref 0 in
+  let full = ref false in
+  while not !full do
+    let tx = Db.begin_txn db in
+    match Db.insert db tx ~rel:"t" [| Schema.int !precommitted; Schema.S "p" |] with
+    | _ ->
+        Db.commit db tx;
+        incr precommitted
+    | exception Mrdb_wal.Slb.Slb_full ->
+        Db.abort db tx;
+        full := true
+  done;
+  check bool_t "some transactions precommitted first" true (!precommitted > 0);
+  Db.flush_group db;
+  ignore (insert_committed db 1000 "after");
+  Db.flush_group db;
+  Db.crash db;
+  Db.recover db;
+  check int_t "every precommitted transaction durable, the failed one absent"
+    (!precommitted + 1) (List.length (kv_of db))
+
 (* -- log window wrap under sustained load ------------------------------------- *)
 
 let test_log_window_wraps_safely () =
@@ -298,6 +418,14 @@ let () =
             test_group_commit_unflushed_not_durable;
           Alcotest.test_case "flushed groups durable" `Quick
             test_group_commit_flush_on_group_boundary_is_durable;
+          Alcotest.test_case "precommitted REDO already in the SLB" `Quick
+            test_group_commit_precommitted_redo_in_slb;
+          Alcotest.test_case "crash frees unflushed chains" `Quick
+            test_group_commit_crash_frees_unflushed_chains;
+          Alcotest.test_case "batch of one matches instant" `Quick
+            test_group_batch_one_matches_instant;
+          Alcotest.test_case "SLB exhaustion surfaces at append" `Quick
+            test_group_commit_slb_full_at_append;
         ] );
       ( "log window",
         [ Alcotest.test_case "wraps safely under load" `Quick test_log_window_wraps_safely ] );

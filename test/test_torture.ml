@@ -18,6 +18,8 @@
                               transactions are spread over them by a
                               deterministic round-robin schedule and the
                               fault plan may fail individual executors
+                              (the group-commit campaign spreads its
+                              transactions round-robin too)
      MRDB_REDO_CODEC=<c>      physical | logical | adaptive (default
                               physical): the REDO record family the
                               commit path emits — logical and adaptive
@@ -265,6 +267,7 @@ let run_group_seed seed =
     {
       Config.small with
       Config.commit_mode = Config.Group { Config.batch_size = 3; timeout_us = 5_000.0 };
+      Config.executors;
       Config.redo_codec;
     }
   in
@@ -273,6 +276,9 @@ let run_group_seed seed =
   let sim = Db.sim db in
   (* Offset the stream so the campaign is not a replay of the main one. *)
   let rng = Rng.of_int (0x9C0DE + seed) in
+  (* Round-robin executors, drawing no randomness: a group then spans
+     several SLB regions, and its flush commits chains across them. *)
+  let txn_no = ref 0 in
   let base = Hashtbl.create 64 in
   let committed_log = ref [] (* newest first *) in
   let inflight = ref None in
@@ -352,7 +358,8 @@ let run_group_seed seed =
                end)
          in
          (try
-            let tx = Db.begin_txn db in
+            let tx = Db.begin_txn ~executor:(!txn_no mod executors) db in
+            incr txn_no;
             List.iter
               (fun (k, op) ->
                 match (op, Hashtbl.find_opt addr_of k) with
