@@ -22,7 +22,10 @@
      deterministic executor schedule (Sim_exec.run_scheduled) at
      executors=4 over striped SLB regions, with the executors=1 scheduled
      throughput alongside ("ops_per_sec_e1") so the striping overhead is
-     visible in BENCH.json.
+     visible in BENCH.json;
+   - crc32: Checksum.crc32 over a 48 KB checkpoint-image-sized buffer,
+     one op per image, also reported as bytes/sec and ns/byte (CI holds
+     the kernel at or under 4 ns/byte).
 
    The codec sweep runs the debit_credit workload once per REDO codec
    (physical / logical / adaptive) and reports, per codec, the log bytes
@@ -141,6 +144,26 @@ let bench_drain n =
   done;
   ignore !sink;
   (float_of_int !done_ /. !elapsed, per_op alloc)
+
+let crc_image_bytes = 48 * 1024
+
+let bench_crc32 n =
+  let image = Bytes.init crc_image_bytes (fun i -> Char.chr ((i * 131) land 0xFF)) in
+  let batch = 50 in
+  let elapsed = ref 0.0 and alloc = acc () and done_ = ref 0 in
+  let sink = ref 0l in
+  while !done_ < n do
+    let k = min batch (n - !done_) in
+    elapsed :=
+      !elapsed
+      +. measure_window alloc ~ops:k (fun () ->
+             for _ = 1 to k do
+               sink := Mrdb_util.Checksum.crc32 ~init:!sink image ~pos:0 ~len:crc_image_bytes
+             done);
+    done_ := !done_ + k
+  done;
+  ignore !sink;
+  (float_of_int n /. !elapsed, per_op alloc)
 
 let bench_txn n =
   let db = Mrdb_core.Db.create ~config:Mrdb_core.Config.default () in
@@ -310,6 +333,7 @@ let () =
       ("drain", bench_drain (scale 200_000), scale 200_000);
       ("debit_credit", txn_result, scale 2_000);
       ("debit_credit_nexec", nexec_result, scale 2_000);
+      ("crc32", bench_crc32 (scale 5_000), scale 5_000);
     ]
   in
   let buf = Buffer.create 512 in
@@ -325,6 +349,11 @@ let () =
           Printf.sprintf ", \"latency_ns\": { \"p50\": %d, \"p99\": %d }" p50 p99
         else if name = "debit_credit_nexec" then
           Printf.sprintf ", \"executors\": 4, \"ops_per_sec_e1\": %.1f" ops_e1
+        else if name = "crc32" then
+          let bytes_per_sec = ops *. float_of_int crc_image_bytes in
+          Printf.sprintf
+            ", \"image_bytes\": %d, \"bytes_per_sec\": %.0f, \"ns_per_byte\": %.3f"
+            crc_image_bytes bytes_per_sec (1e9 /. bytes_per_sec)
         else ""
       in
       Buffer.add_string buf

@@ -14,10 +14,13 @@ type t = {
   mutable sweeping : bool;
       (* Timeline attribution: restores issued from background_step are
          charged to Background_sweep, everything else to On_demand_restore. *)
+  mutable sweep_queue : Addr.partition list;
+      (* The background sweep's pick order: partitions that were not
+         resident when the queue was built, ascending by address. *)
 }
 
 let create ~env ~slt ~cat ~seq ~segments =
-  { env; slt; cat; seq; segments; sweeping = false }
+  { env; slt; cat; seq; segments; sweeping = false; sweep_queue = [] }
 
 let segment_of r seg_id =
   match Hashtbl.find_opt r.segments seg_id with
@@ -52,11 +55,13 @@ let read_ckpt_track env ~first_page ~pages k =
         Trace.incr env.Recovery_env.trace "restorer_ckpt_read_retries";
         Mrdb_hw.Disk.read_track disk ~first_page ~pages k)
 
-(* Read a partition's checkpoint image; when the checkpoint disk cannot
-   produce a valid image (media failure), fall back to the newest archived
-   copy — the archive saw every image ever written, so its newest copy is
-   exactly the one the catalog references. *)
-let read_ckpt_image env ~(part : Addr.partition) (desc : Catalog.partition_desc) k =
+(* Read the checkpoint image at [first_page .. first_page+pages); when the
+   checkpoint disk cannot produce a valid image (media failure), fall back
+   to the newest archived copy of [part] — the archive saw every image
+   ever written, so its newest copy is exactly the one the catalog (or,
+   for catalog partitions, the well-known area) references.  A negative
+   [first_page] means never checkpointed. *)
+let read_ckpt_image env ~(part : Addr.partition) ~first_page ~pages k =
   let fallback reason =
     match env.Recovery_env.archiver with
     | Some a -> (
@@ -70,15 +75,14 @@ let read_ckpt_image env ~(part : Addr.partition) (desc : Catalog.partition_desc)
     | None ->
         Mrdb_util.Fatal.invariant ~mod_:"Restorer" ("corrupt checkpoint image: " ^ reason)
   in
-  if desc.Catalog.ckpt_page < 0 then k None
+  if first_page < 0 then k None
   else
-    read_ckpt_track env ~first_page:desc.Catalog.ckpt_page
-      ~pages:desc.Catalog.ckpt_page_count (function
-        | Error e -> fallback ("media read failed: " ^ e)
-        | Ok data -> (
-            match Ckpt_image.decode data with
-            | Ok image -> k (Some image)
-            | Error e -> fallback e))
+    read_ckpt_track env ~first_page ~pages (function
+      | Error e -> fallback ("media read failed: " ^ e)
+      | Ok data -> (
+          match Ckpt_image.decode data with
+          | Ok image -> k (Some image)
+          | Error e -> fallback e))
 
 (* Replay a recovered record stream on top of a checkpoint image: records
    at or below the watermark are already in the image and are skipped
@@ -152,7 +156,8 @@ let recover_partition r part k =
     let t0 = Mrdb_sim.Sim.now env.Recovery_env.sim in
     let image = ref None and image_done = ref false in
     let records = ref [] and records_done = ref false in
-    read_ckpt_image env ~part desc (fun img ->
+    read_ckpt_image env ~part ~first_page:desc.Catalog.ckpt_page
+      ~pages:desc.Catalog.ckpt_page_count (fun img ->
         image := img;
         image_done := true);
     Slt.records_for_recovery r.slt part (fun result ->
@@ -235,21 +240,44 @@ let resident_fraction r =
     float_of_int (List.length (List.filter (fun d -> d.Catalog.resident) descs))
     /. float_of_int (List.length descs)
 
+let non_resident_partitions r =
+  Catalog.fold_relations
+    (fun rel acc ->
+      List.fold_left
+        (fun acc (d : Catalog.partition_desc) ->
+          if d.Catalog.resident then acc else d.Catalog.part :: acc)
+        acc rel.Catalog.partitions)
+    r.cat []
+  |> List.sort Addr.compare_partition
+
+(* The lowest-addressed non-resident partition, in O(1) amortised: the
+   queue is built once, and entries restored on demand or dropped from the
+   catalog since then are popped as they reach the front.  The pick stays
+   at the front until it is resident, so a failed restore is retried.  An
+   empty queue is rebuilt once before reporting that nothing is left. *)
+let rec next_to_sweep r ~rebuilt =
+  match r.sweep_queue with
+  | part :: rest -> (
+      match Catalog.partition_desc r.cat part with
+      | Some d when not d.Catalog.resident -> Some part
+      | Some _ | None ->
+          r.sweep_queue <- rest;
+          next_to_sweep r ~rebuilt)
+  | [] ->
+      if rebuilt then None
+      else begin
+        r.sweep_queue <- non_resident_partitions r;
+        next_to_sweep r ~rebuilt:true
+      end
+
 let background_step r =
-  let next =
-    List.find_opt (fun (d : Catalog.partition_desc) -> not d.Catalog.resident)
-      (List.sort
-         (fun (a : Catalog.partition_desc) b ->
-           Addr.compare_partition a.Catalog.part b.Catalog.part)
-         (all_partition_descs r))
-  in
-  match next with
+  match next_to_sweep r ~rebuilt:false with
   | None -> false
-  | Some d ->
+  | Some part ->
       r.sweeping <- true;
       Fun.protect
         ~finally:(fun () -> r.sweeping <- false)
-        (fun () -> ensure_partition r d.Catalog.part);
+        (fun () -> ensure_partition r part);
       true
 
 let sweep r = while background_step r do () done
@@ -264,34 +292,12 @@ let restore_catalog env ~slt ~entries =
   let catalog_seq = ref [] in
   List.iter
     (fun (e : Wellknown.entry) ->
-      (* Inline per-partition restore (catalog partitions only): image ∥ log. *)
+      (* Per-partition restore (catalog partitions only): image ∥ log. *)
       let image = ref None and image_done = ref false in
-      if e.Wellknown.ckpt_page < 0 then image_done := true
-      else
-        read_ckpt_track env ~first_page:e.Wellknown.ckpt_page ~pages:e.Wellknown.pages
-          (fun result ->
-            (let decoded =
-               match result with
-               | Ok data -> Ckpt_image.decode data
-               | Error e -> Error ("media read failed: " ^ e)
-             in
-             match decoded with
-            | Ok img -> image := Some img
-            | Error msg -> (
-                (* Checkpoint-disk media failure: fall back to the archive. *)
-                match env.Recovery_env.archiver with
-                | Some a -> (
-                    match Archive.latest_image a e.Wellknown.part with
-                    | Some img ->
-                        Trace.incr env.Recovery_env.trace "media_recoveries";
-                        image := Some img
-                    | None ->
-                        Mrdb_util.Fatal.invariant ~mod_:"Restorer"
-                          ("catalog image lost, not archived: " ^ msg))
-                | None ->
-                    Mrdb_util.Fatal.invariant ~mod_:"Restorer"
-                      ("corrupt catalog image: " ^ msg)));
-            image_done := true);
+      read_ckpt_image env ~part:e.Wellknown.part ~first_page:e.Wellknown.ckpt_page
+        ~pages:e.Wellknown.pages (fun img ->
+          image := img;
+          image_done := true);
       let records = ref [] and records_done = ref false in
       Slt.records_for_recovery slt e.Wellknown.part (fun result ->
           (match result with

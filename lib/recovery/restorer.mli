@@ -62,7 +62,9 @@ val resident_fraction : t -> float
 
 val background_step : t -> bool
 (** Restore one more not-yet-resident partition (the paper's low-priority
-    background sweep); [false] when the database is fully resident. *)
+    background sweep), lowest address first; [false] when the database is
+    fully resident.  The pick comes from a per-restorer queue built on the
+    first step, so a step does not rescan the catalog. *)
 
 val sweep : t -> unit
 (** Drain the background sweep. *)
@@ -70,12 +72,15 @@ val sweep : t -> unit
 val read_ckpt_image :
   Recovery_env.t ->
   part:Addr.partition ->
-  Catalog.partition_desc ->
+  first_page:int ->
+  pages:int ->
   (Mrdb_ckpt.Ckpt_image.t option -> unit) ->
   unit
-(** Asynchronously read a partition's checkpoint image, falling back to
-    the newest archived copy when the checkpoint disk cannot produce a
-    valid one.  [None] means the partition has never been checkpointed. *)
+(** Asynchronously read [part]'s checkpoint image from checkpoint-disk
+    pages [first_page .. first_page+pages), with one retry, falling back
+    to the newest archived copy when the checkpoint disk cannot produce a
+    valid one.  [None] when [first_page < 0]: never checkpointed.  The one
+    image-read path for catalogued partitions and the catalog bootstrap. *)
 
 val restore_catalog :
   Recovery_env.t ->

@@ -81,13 +81,14 @@ let read_page t ~lsn k =
     (* Duplex-level verification: a copy failing the CRC triggers the
        mirror fallback; only a page unreadable from every mirror surfaces
        here as [Unreadable].  A younger page legitimately occupying the
-       slot passes the CRC on both mirrors and is reported [Stale_slot]. *)
+       slot passes the CRC on both mirrors and is reported [Stale_slot].
+       The accepted image is decoded without a second CRC pass. *)
     Mrdb_hw.Duplex.read_page t.duplex ~page:(slot t lsn)
       ~verify:(Log_page.verify ~page_bytes:(page_bytes t))
       (function
         | Error reason -> k (Error (Unreadable { lsn; reason }))
         | Ok image -> (
-            match Log_page.parse ~page_bytes:(page_bytes t) ~dir_size:(dir_size t) image with
+            match Log_page.decode ~page_bytes:(page_bytes t) ~dir_size:(dir_size t) image with
             | Error e -> k (Error (Unreadable { lsn; reason = e }))
             | Ok (header, records) ->
                 if header.Log_page.lsn <> lsn then

@@ -67,7 +67,8 @@ val read_page :
   t -> lsn:int64 ->
   ((Log_page.header * Log_record.t list, read_error) result -> unit) -> unit
 (** Read, checksum-verify (with mirror fallback) and decode the page at
-    [lsn]. *)
+    [lsn].  The CRC runs once per page, inside the duplex read; the
+    accepted image is decoded with {!Log_page.decode}. *)
 
 val install_page : t -> lsn:int64 -> bytes -> unit
 (** Untimed atomic page install at [lsn]'s window slot on every live

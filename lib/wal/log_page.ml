@@ -69,50 +69,51 @@ let parse_frames b ~used =
   iter_frames b ~pos:0 ~used ~f:(fun r -> records := r :: !records);
   List.rev !records
 
-(* Cheap integrity check (size + magic + CRC) for checksum-verified duplex
-   reads: decides copy-acceptability without decoding records, so the
-   mirror-fallback logic stays below the parse layer. *)
-let verify ~page_bytes b =
-  Bytes.length b = page_bytes
-  && Mrdb_util.Codec.get_u32 b 0 = magic
-  && Bytes.get_int32_le b (page_bytes - 4)
-     = Mrdb_util.Checksum.crc32 b ~pos:0 ~len:(page_bytes - 4)
-
-let parse ~page_bytes ~dir_size b =
+(* Integrity check only (size + magic + CRC), no decoding: the acceptance
+   predicate of checksum-verified duplex reads, so the mirror-fallback
+   logic stays below the decode layer. *)
+let check ~page_bytes b =
   if Bytes.length b <> page_bytes then Error "wrong page size"
   else if Mrdb_util.Codec.get_u32 b 0 <> magic then Error "bad magic"
+  else if
+    Bytes.get_int32_le b (page_bytes - 4)
+    <> Mrdb_util.Checksum.crc32 b ~pos:0 ~len:(page_bytes - 4)
+  then Error "crc mismatch (torn or stale page)"
+  else Ok ()
+
+let verify ~page_bytes b = Result.is_ok (check ~page_bytes b)
+
+let decode ~page_bytes ~dir_size b =
+  let lsn = Mrdb_util.Codec.get_i64 b 4 in
+  let part =
+    {
+      Addr.segment = Int64.to_int (Mrdb_util.Codec.get_i64 b 12);
+      partition = Int64.to_int (Mrdb_util.Codec.get_i64 b 20);
+    }
+  in
+  let prev_lsn = Mrdb_util.Codec.get_i64 b 28 in
+  let nrecords = Mrdb_util.Codec.get_u32 b 36 in
+  let used = Mrdb_util.Codec.get_u32 b 40 in
+  let dir_len = Mrdb_util.Codec.get_u32 b 44 in
+  if dir_len > dir_size then Error "directory overflow"
+  else if used > payload_capacity ~page_bytes ~dir_size then Error "payload overflow"
   else begin
-    let stored_crc = Bytes.get_int32_le b (page_bytes - 4) in
-    let crc = Mrdb_util.Checksum.crc32 b ~pos:0 ~len:(page_bytes - 4) in
-    if stored_crc <> crc then Error "crc mismatch (torn or stale page)"
-    else begin
-      let lsn = Mrdb_util.Codec.get_i64 b 4 in
-      let part =
-        {
-          Addr.segment = Int64.to_int (Mrdb_util.Codec.get_i64 b 12);
-          partition = Int64.to_int (Mrdb_util.Codec.get_i64 b 20);
-        }
-      in
-      let prev_lsn = Mrdb_util.Codec.get_i64 b 28 in
-      let nrecords = Mrdb_util.Codec.get_u32 b 36 in
-      let used = Mrdb_util.Codec.get_u32 b 40 in
-      let dir_len = Mrdb_util.Codec.get_u32 b 44 in
-      if dir_len > dir_size then Error "directory overflow"
-      else if used > payload_capacity ~page_bytes ~dir_size then Error "payload overflow"
-      else begin
-        let dir =
-          Array.init dir_len (fun i -> Mrdb_util.Codec.get_i64 b (fixed_header + (8 * i)))
-        in
-        (* Decode the framed records in place from the page buffer — the
-           replay path never materializes a separate payload copy. *)
-        let records = ref [] in
-        match iter_frames b ~pos:(payload_off ~dir_size) ~used ~f:(fun r -> records := r :: !records) with
-        | () -> Ok ({ lsn; part; prev_lsn; dir; nrecords; used }, List.rev !records)
-        | exception Mrdb_util.Fatal.Invariant { mod_; what } ->
-            Error (Printf.sprintf "record decode: %s: %s" mod_ what)
-      end
-    end
+    let dir =
+      Array.init dir_len (fun i -> Mrdb_util.Codec.get_i64 b (fixed_header + (8 * i)))
+    in
+    (* Decode the framed records in place from the page buffer — the
+       replay path never materializes a separate payload copy. *)
+    let records = ref [] in
+    match iter_frames b ~pos:(payload_off ~dir_size) ~used ~f:(fun r -> records := r :: !records) with
+    | () -> Ok ({ lsn; part; prev_lsn; dir; nrecords; used }, List.rev !records)
+    | exception Mrdb_util.Fatal.Invariant { mod_; what } ->
+        Error (Printf.sprintf "record decode: %s: %s" mod_ what)
   end
+
+let parse ~page_bytes ~dir_size b =
+  match check ~page_bytes b with
+  | Error _ as e -> e
+  | Ok () -> decode ~page_bytes ~dir_size b
 
 let frame_record r =
   let payload = Log_record.encode r in

@@ -57,9 +57,17 @@ val verify : page_bytes:int -> bytes -> bool
     duplexed reads use to decide whether a mirror's copy is intact
     ({!Mrdb_hw.Duplex.read_page}'s [verify]). *)
 
+val decode : page_bytes:int -> dir_size:int -> bytes -> (header * Log_record.t list, string) result
+(** Decode a page that {!verify} has already accepted, without checking
+    its CRC again: the log-disk read path checksums each page exactly once,
+    at the duplex level.  The image must be [page_bytes] long.  [Error]
+    reports a directory or payload overflow or a malformed record frame. *)
+
 val parse : page_bytes:int -> dir_size:int -> bytes -> (header * Log_record.t list, string) result
-(** Verify magic and CRC and decode.  [Error] explains the mismatch (torn
-    page, wrong partition slot reuse, etc.). *)
+(** {!verify} then {!decode}, for images no duplex read has checked (the
+    stable-memory shadow of an in-flight page, a standby's raw peeks).
+    [Error] explains the mismatch (torn page, wrong partition slot reuse,
+    etc.). *)
 
 val frame_record : Log_record.t -> bytes
 (** u16 length prefix + encoded record, as stored in bin buffers, SLB

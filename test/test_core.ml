@@ -289,6 +289,98 @@ let test_background_recovery_steps () =
   check bool_t "took steps" true (!steps > 0);
   check (Alcotest.float 0.001) "done" 1.0 (Db.resident_fraction db)
 
+(* -- the background sweep's pick queue --------------------------------------- *)
+
+(* Three relations ("a", "b", "c"), each spanning several partitions,
+   crashed and brought back to the end of catalog restore: every user
+   partition is on disk. *)
+let mk_swept_db () =
+  let db = mk_db () in
+  List.iter
+    (fun name ->
+      Db.create_relation db ~name ~schema:account_schema;
+      Db.with_txn db (fun tx ->
+          for i = 1 to 150 do
+            ignore (Db.insert db tx ~rel:name (account i))
+          done))
+    [ "a"; "b"; "c" ];
+  Db.crash db;
+  Db.recover db;
+  db
+
+let non_resident db =
+  List.filter
+    (fun p ->
+      match Catalog.partition_desc (Db.catalog db) p with
+      | Some d -> not d.Catalog.resident
+      | None -> false)
+    (Db.all_partitions db)
+  |> List.sort Addr.compare_partition
+
+let restored db = Mrdb_sim.Trace.count (Db.trace db) "restorer_partitions_restored"
+
+(* Step the sweep to completion, checking before every step that it
+   restores exactly the lowest-addressed non-resident partition, and
+   nothing else.  Returns the partitions in the order they were swept. *)
+let sweep_checked db =
+  let order = ref [] in
+  let rec go () =
+    let before = restored db in
+    match non_resident db with
+    | [] -> check bool_t "nothing left to sweep" false (Db.background_recovery_step db)
+    | next :: _ ->
+        check bool_t "step reports work" true (Db.background_recovery_step db);
+        check bool_t "lowest address restored" false (List.mem next (non_resident db));
+        check int_t "one partition per step" (before + 1) (restored db);
+        order := next :: !order;
+        go ()
+  in
+  go ();
+  check (Alcotest.float 0.001) "fully resident" 1.0 (Db.resident_fraction db);
+  List.rev !order
+
+let test_sweep_ascending_order () =
+  let db = mk_swept_db () in
+  let pending = non_resident db in
+  check bool_t "several partitions on disk" true (List.length pending >= 6);
+  let order = sweep_checked db in
+  check bool_t "whole queue swept in address order" true (order = pending)
+
+let test_sweep_skips_on_demand_restores () =
+  let db = mk_swept_db () in
+  ignore (Db.background_recovery_step db);
+  (* "c" is restored on demand while its partitions sit in the queue. *)
+  check int_t "c intact" 150 (Db.cardinality db ~rel:"c");
+  let c_parts = Db.relation_partitions db ~rel:"c" in
+  let before = restored db in
+  let order = sweep_checked db in
+  check bool_t "no c partition swept" true
+    (List.for_all (fun p -> not (List.mem p c_parts)) order);
+  check int_t "each remaining partition restored once" (before + List.length order)
+    (restored db)
+
+let test_sweep_after_drop_relation () =
+  let db = mk_swept_db () in
+  ignore (Db.background_recovery_step db);
+  Db.drop_relation db ~name:"b";
+  ignore (sweep_checked db);
+  check (Alcotest.list Alcotest.string) "relations" [ "a"; "c" ] (Db.relations db);
+  check int_t "c intact" 150 (Db.cardinality db ~rel:"c")
+
+let test_sweep_with_relation_created_after_restart () =
+  let db = mk_swept_db () in
+  ignore (Db.background_recovery_step db);
+  Db.create_relation db ~name:"d" ~schema:account_schema;
+  Db.with_txn db (fun tx ->
+      for i = 1 to 150 do
+        ignore (Db.insert db tx ~rel:"d" (account i))
+      done);
+  let d_parts = Db.relation_partitions db ~rel:"d" in
+  let order = sweep_checked db in
+  check bool_t "new relation never swept" true
+    (List.for_all (fun p -> not (List.mem p d_parts)) order);
+  check int_t "d intact" 150 (Db.cardinality db ~rel:"d")
+
 let test_predeclare_mode () =
   let db = mk_bank () in
   insert_accounts db 10;
@@ -506,6 +598,12 @@ let () =
           Alcotest.test_case "full reload mode" `Quick test_full_reload_mode;
           Alcotest.test_case "on-demand partial residency" `Quick test_on_demand_partial_residency;
           Alcotest.test_case "background steps" `Quick test_background_recovery_steps;
+          Alcotest.test_case "sweep in address order" `Quick test_sweep_ascending_order;
+          Alcotest.test_case "sweep skips on-demand restores" `Quick
+            test_sweep_skips_on_demand_restores;
+          Alcotest.test_case "sweep after drop_relation" `Quick test_sweep_after_drop_relation;
+          Alcotest.test_case "sweep with relation created after restart" `Quick
+            test_sweep_with_relation_created_after_restart;
           Alcotest.test_case "predeclare mode" `Quick test_predeclare_mode;
           Alcotest.test_case "DDL survives crash" `Quick test_ddl_survives_crash;
           Alcotest.test_case "recover, work, crash again" `Quick

@@ -204,11 +204,6 @@ let test_crc32_detects_flip () =
   Bytes.set b 5 'X';
   check bool_t "changed" true (c1 <> Checksum.crc32_bytes b)
 
-let test_fletcher_differs_on_swap () =
-  let a = Bytes.of_string "ab" and b = Bytes.of_string "ba" in
-  check bool_t "order-sensitive" true
-    (Checksum.fletcher32 a ~pos:0 ~len:2 <> Checksum.fletcher32 b ~pos:0 ~len:2)
-
 let prop_crc32_subrange_consistent =
   QCheck.Test.make ~name:"crc32 subrange = crc32 of sub-bytes" ~count:200
     QCheck.(string_of_size Gen.(int_range 1 64))
@@ -216,6 +211,63 @@ let prop_crc32_subrange_consistent =
       let b = Bytes.of_string s in
       let padded = Bytes.cat (Bytes.of_string "##") (Bytes.cat b (Bytes.of_string "##")) in
       Checksum.crc32 padded ~pos:2 ~len:(Bytes.length b) = Checksum.crc32_bytes b)
+
+(* The byte-at-a-time definition the slice-by-8 kernel replaced, kept here
+   as the bit-exactness oracle: one table lookup per byte through boxed
+   [Int32] arithmetic, exactly as every stored CRC was first computed. *)
+let crc32_reference ?(init = 0l) b ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          if Int32.logand !c 1l <> 0l then
+            c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else c := Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref (Int32.logxor init 0xFFFFFFFFl) in
+  for i = pos to pos + len - 1 do
+    let idx =
+      Int32.to_int
+        (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xFFl)
+    in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.logxor !c 0xFFFFFFFFl
+
+(* Every start alignment 0..7 (the kernel loads 8 bytes at a time from
+   [pos]) and lengths that leave a byte-at-a-time tail. *)
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 = byte-at-a-time reference, every alignment" ~count:300
+    QCheck.(pair (string_of_size Gen.(int_range 0 200)) (int_range 0 7))
+    (fun (s, pos) ->
+      let b = Bytes.cat (Bytes.make pos '\xA5') (Bytes.of_string s) in
+      let full = Bytes.length b - pos in
+      List.for_all
+        (fun len ->
+          len < 0 || len > full
+          || Checksum.crc32 b ~pos ~len = crc32_reference b ~pos ~len)
+        [ full; full - 1; 1; 7; 9; 15; 63 ])
+
+let prop_crc32_chaining =
+  QCheck.Test.make ~name:"crc32 ~init:(crc32 a) b = crc32 (a ^ b)" ~count:300
+    QCheck.(pair (string_of_size Gen.(int_range 0 100)) (string_of_size Gen.(int_range 0 100)))
+    (fun (a, b) ->
+      let a = Bytes.of_string a and b = Bytes.of_string b in
+      Checksum.crc32 ~init:(Checksum.crc32_bytes a) b ~pos:0 ~len:(Bytes.length b)
+      = Checksum.crc32_bytes (Bytes.cat a b))
+
+(* A checkpoint-image-sized buffer with a fixed byte pattern.  The golden
+   is the standard CRC-32 of that buffer (zlib's [crc32] gives the same
+   value), so drift in either the kernel or the oracle shows on a
+   realistic page-sized input, not only on short QCheck strings. *)
+let test_crc32_pattern_golden () =
+  let b = Bytes.init (48 * 1024) (fun i -> Char.chr (((i * 31) + (i lsr 8)) land 0xFF)) in
+  check Alcotest.int32 "reference" 0x063F96BEl (crc32_reference b ~pos:0 ~len:(Bytes.length b));
+  check Alcotest.int32 "kernel" 0x063F96BEl (Checksum.crc32_bytes b);
+  check Alcotest.int32 "unaligned slice" (crc32_reference b ~pos:3 ~len:49_147)
+    (Checksum.crc32 b ~pos:3 ~len:49_147)
 
 (* -- Pqueue ----------------------------------------------------------------- *)
 
@@ -471,9 +523,14 @@ let () =
           Alcotest.test_case "crc32 known vector" `Quick test_crc32_known_vector;
           Alcotest.test_case "crc32 empty" `Quick test_crc32_empty;
           Alcotest.test_case "crc32 detects bit flip" `Quick test_crc32_detects_flip;
-          Alcotest.test_case "fletcher order-sensitive" `Quick test_fletcher_differs_on_swap;
+          Alcotest.test_case "crc32 48 KB pattern golden" `Quick test_crc32_pattern_golden;
         ]
-        @ qsuite [ prop_crc32_subrange_consistent ] );
+        @ qsuite
+            [
+              prop_crc32_subrange_consistent;
+              prop_crc32_matches_reference;
+              prop_crc32_chaining;
+            ] );
       ( "pqueue",
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;

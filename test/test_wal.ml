@@ -343,6 +343,49 @@ let test_log_disk_lsn_is_stable () =
   ignore (Log_disk.alloc_lsn ld);
   check i64_t "lsn counter persisted" 2L (Stable_layout.next_lsn layout)
 
+(* A log disk with one written page (LSN 0, three records), the given
+   mirrors corrupted, read back once.  The duplex-level CRC is the only
+   checksum on this path, so it alone must decide acceptance. *)
+let read_after_corrupting mirrors =
+  let sim, layout, ld = mk_log_disk () in
+  let lsn = Log_disk.alloc_lsn ld in
+  let records = List.init 3 (fun i -> mk_record ~seq:(i + 1) ~slot:i ()) in
+  Log_disk.write_page ld ~lsn (mk_image layout ~lsn records) (fun () -> ());
+  Mrdb_sim.Sim.run sim;
+  let duplex = Log_disk.duplex ld in
+  List.iter
+    (fun side ->
+      let disk =
+        match side with
+        | `Primary -> Mrdb_hw.Duplex.primary duplex
+        | `Mirror -> Mrdb_hw.Duplex.mirror duplex
+      in
+      Mrdb_hw.Disk.corrupt_page disk ~page:0 ~at:100 ~len:4)
+    mirrors;
+  let got = ref None in
+  Log_disk.read_page ld ~lsn (fun r -> got := Some r);
+  Mrdb_sim.Sim.run sim;
+  (ld, !got)
+
+let test_log_disk_primary_corrupt_falls_back () =
+  let ld, got = read_after_corrupting [ `Primary ] in
+  (match got with
+  | Some (Ok (h, records)) ->
+      check i64_t "lsn" 0L h.Log_page.lsn;
+      check (Alcotest.list int_t) "mirror's records" [ 1; 2; 3 ]
+        (List.map (fun r -> r.Log_record.seq) records)
+  | Some (Error e) -> Alcotest.fail (Log_disk.read_error_to_string e)
+  | None -> Alcotest.fail "no result");
+  check bool_t "checksum failure counted" true
+    (Mrdb_sim.Trace.count (Log_disk.trace ld) "duplex_read_checksum_failures" > 0)
+
+let test_log_disk_both_corrupt_unreadable () =
+  let _, got = read_after_corrupting [ `Primary; `Mirror ] in
+  check bool_t "unreadable" true
+    (match got with
+    | Some (Error (Log_disk.Unreadable { lsn = 0L; _ })) -> true
+    | _ -> false)
+
 (* -- Partition_bin ------------------------------------------------------------- *)
 
 let test_bin_activate_load () =
@@ -593,6 +636,46 @@ let test_slt_recovery_includes_buffered_and_inflight () =
       check (Alcotest.list int_t) "ordered" (List.init 30 (fun i -> i + 1))
         (List.map (fun r -> r.Log_record.seq) records)
   | Some (Error e) -> Alcotest.fail e
+  | None -> Alcotest.fail "no result"
+
+let find_sub hay needle =
+  let n = Bytes.length needle in
+  let rec go i =
+    if i + n > Bytes.length hay then None
+    else if Bytes.equal (Bytes.sub hay i n) needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* Pages whose disk writes are still in flight are read back from their
+   stable-memory shadow, which no duplex read has checksummed: that path
+   must keep the checking parse.  Tear the oldest in-flight image — its
+   last 16 bytes, trailing CRC included, never reached stable memory, as a
+   crash mid-copy leaves it — and recovery must reject it.  The records
+   themselves are intact, so only the CRC can tell. *)
+let test_slt_torn_inflight_rejected () =
+  let w = mk_slt ~n_update:1_000_000 () in
+  for i = 1 to 30 do
+    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
+  done;
+  let bin = Option.get (Slt.find_bin w.slt part_a) in
+  let lsn = List.fold_left min Int64.max_int (Partition_bin.inflight_lsns bin) in
+  check bool_t "several pages in flight" true
+    (List.length (Partition_bin.inflight_lsns bin) >= 2);
+  let image = Option.get (Partition_bin.read_inflight bin ~lsn) in
+  let mem_size = Mrdb_hw.Stable_mem.size w.mem in
+  let off =
+    Option.get (find_sub (Mrdb_hw.Stable_mem.read w.mem ~off:0 ~len:mem_size) image)
+  in
+  Mrdb_hw.Stable_mem.fill w.mem ~off:(off + Bytes.length image - 16) ~len:16 '\000';
+  let result = ref None in
+  Slt.records_for_recovery w.slt part_a (fun r -> result := Some r);
+  Mrdb_sim.Sim.run w.sim;
+  match !result with
+  | Some (Error e) ->
+      check bool_t "names the in-flight image" true
+        (Option.is_some (find_sub (Bytes.of_string e) (Bytes.of_string "inflight image")))
+  | Some (Ok _) -> Alcotest.fail "torn in-flight image decoded"
   | None -> Alcotest.fail "no result"
 
 let test_slt_survives_crash () =
@@ -871,6 +954,10 @@ let () =
           Alcotest.test_case "write/read" `Quick test_log_disk_write_read;
           Alcotest.test_case "window reuse" `Quick test_log_disk_window_reuse;
           Alcotest.test_case "stable lsn counter" `Quick test_log_disk_lsn_is_stable;
+          Alcotest.test_case "primary corrupt falls back to mirror" `Quick
+            test_log_disk_primary_corrupt_falls_back;
+          Alcotest.test_case "both mirrors corrupt is unreadable" `Quick
+            test_log_disk_both_corrupt_unreadable;
         ] );
       ( "partition_bin",
         [
@@ -891,6 +978,8 @@ let () =
           Alcotest.test_case "recovery roundtrip" `Quick test_slt_records_for_recovery_roundtrip;
           Alcotest.test_case "recovery sees buffered+inflight" `Quick
             test_slt_recovery_includes_buffered_and_inflight;
+          Alcotest.test_case "torn inflight image rejected" `Quick
+            test_slt_torn_inflight_rejected;
           Alcotest.test_case "survives crash" `Quick test_slt_survives_crash;
           Alcotest.test_case "window pressure" `Quick test_slt_window_pressure;
         ] );
