@@ -3,7 +3,7 @@
    Unlike bench/recovery.ml (simulated time), this measures real elapsed
    seconds and real GC allocation:
 
-   - append: Slb.append throughput (record framed into the SLB scratch,
+   - append: Slb.Region.append throughput (record framed into the SLB scratch,
      one stable-memory write per record);
    - append_hooked: the same with an installed-but-idle stable-memory
      fault hook, bounding the observation cost fault campaigns add to the
@@ -28,7 +28,7 @@
      the kernel at or under 4 ns/byte).
 
    The codec sweep runs the debit_credit workload once per REDO codec
-   (physical / logical / adaptive) and reports, per codec, the log bytes
+   (physical / logical) and reports, per codec, the log bytes
    emitted per transaction (from the codec_log_bytes trace counter, so
    setup is excluded) and the post-crash replay rate in records/sec
    (wall-clock over Db.recover + recover_everything).  The sweep fills
@@ -100,6 +100,7 @@ let bench_append ?(hooked = false) ?(obs = false) n =
     let fr = Mrdb_obs.Flight_recorder.create ~now:(fun () -> !clock) () in
     Slb.set_recorder slb (Some fr)
   end;
+  let region = Slb.region slb 0 in
   let r = mk_record ~seq:1 in
   let batch = 2000 in
   let elapsed = ref 0.0 and alloc = acc () and done_ = ref 0 in
@@ -109,7 +110,7 @@ let bench_append ?(hooked = false) ?(obs = false) n =
       !elapsed
       +. measure_window alloc ~ops:k (fun () ->
              for i = 1 to k do
-               Slb.append slb ~txn_id:(i land 15) r
+               Slb.Region.append region ~txn_id:(i land 15) r
              done);
     (* Untimed: recycle the blocks so the pool never exhausts. *)
     for t = 0 to 15 do Slb.abort slb ~txn_id:t done;
@@ -120,6 +121,7 @@ let bench_append ?(hooked = false) ?(obs = false) n =
 let bench_drain n =
   let layout = mk_layout () in
   let slb = Slb.create layout in
+  let region = Slb.region slb 0 in
   let per_txn = 4 in
   let batch_txns = 200 in
   let elapsed = ref 0.0 and alloc = acc () and done_ = ref 0 in
@@ -128,9 +130,9 @@ let bench_drain n =
     let txns = min batch_txns (((n - !done_) / per_txn) + 1) in
     for t = 1 to txns do
       for s = 1 to per_txn do
-        Slb.append slb ~txn_id:t (mk_record ~seq:s)
+        Slb.Region.append region ~txn_id:t (mk_record ~seq:s)
       done;
-      Slb.commit slb ~txn_id:t
+      Slb.Region.commit region ~txn_id:t
     done;
     (* The production drain path: raw frames, routing fields peeked out of
        the encoding, no Log_record ever materialized. *)
@@ -217,7 +219,6 @@ type codec_row = {
   log_bytes_per_txn : float;
   replay_records_per_sec : float;
   cmd_record_share : float;  (** command records / log records, timed loop *)
-  codec_flips : int;  (** adaptive: partitions flipped to command logging *)
 }
 
 let bench_codec ~codec ~codec_name n =
@@ -253,15 +254,14 @@ let bench_codec ~codec ~codec_name n =
     log_bytes_per_txn;
     replay_records_per_sec = replayed /. dt;
     cmd_record_share;
-    codec_flips = count "codec_flips_to_logical";
   }
 
 let codec_row_json r =
   Printf.sprintf
     "\"%s\": { \"log_bytes_per_txn\": %.2f, \"replay_records_per_sec\": \
-     %.1f, \"cmd_record_share\": %.3f, \"codec_flips\": %d }"
+     %.1f, \"cmd_record_share\": %.3f }"
     r.codec_name r.log_bytes_per_txn r.replay_records_per_sec
-    r.cmd_record_share r.codec_flips
+    r.cmd_record_share
 
 let bench_txn_nexec ~executors n =
   let module Executor = Mrdb_exec.Executor in
@@ -307,7 +307,6 @@ let () =
       [
         (Mrdb_core.Config.Physical, "physical");
         (Mrdb_core.Config.Logical, "logical");
-        (Mrdb_core.Config.Adaptive, "adaptive");
       ]
   in
   let codec_json =
@@ -319,11 +318,9 @@ let () =
   List.iter
     (fun r ->
       Printf.printf
-        "codec %-9s %7.1f log B/txn  %10.0f replay rec/s  cmd share %.2f%s\n"
+        "codec %-9s %7.1f log B/txn  %10.0f replay rec/s  cmd share %.2f\n"
         r.codec_name r.log_bytes_per_txn r.replay_records_per_sec
-        r.cmd_record_share
-        (if r.codec_flips > 0 then Printf.sprintf "  flips %d" r.codec_flips
-         else ""))
+        r.cmd_record_share)
     codec_rows;
   let results =
     [

@@ -4,12 +4,12 @@
     codec: command records shrink the average log record (raising the
     byte-limited logging capacity and cutting replay I/O) but replay a
     record by re-executing the operation instead of copying an image
-    (costing more recovery-CPU instructions per record).  The adaptive
-    policy ({!Mrdb_logical.Codec_policy}) flips a partition to command
-    logging when updates dominate and the byte win clears a 2x margin;
-    {!crossover_hotness} is that margin's model-side prediction.
-    EXPERIMENTS.md compares these predictions against the measured
-    bench/hotpath.ml codec sweep. *)
+    (costing more recovery-CPU instructions per record).  The codec is a
+    per-database choice ([Config.redo_codec]); this model is what a user
+    reads to make it: {!bytes_ratio} and {!crossover_hotness} price the
+    log-volume win for a workload's update mix, {!replay_rate_ratio} the
+    replay-time cost.  EXPERIMENTS.md compares these predictions against
+    the measured bench/hotpath.ml codec sweep. *)
 
 type codec_params = {
   s_physical : int;  (** average physical record size, header + image *)
@@ -33,9 +33,8 @@ val bytes_ratio : codec_params -> hotness:float -> float
     prediction of the sweep's log_bytes_per_txn ratio. *)
 
 val crossover_hotness : codec_params -> margin:float -> float option
-(** Least update fraction where the byte ratio clears [margin] (the
-    adaptive policy uses 2.0): [Some 0.] when any mix clears it, [None]
-    when none does.
+(** Least update fraction where the byte ratio clears [margin]:
+    [Some 0.] when any mix clears it, [None] when none does.
     @raise Invalid_argument when [margin <= 0]. *)
 
 val i_replay_physical : Params.t -> codec_params -> float

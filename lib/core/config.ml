@@ -1,13 +1,13 @@
 type group_commit = { batch_size : int; timeout_us : float }
 
-type commit_mode = Instant | Group of group_commit | Disk_force
+type commit_mode = Group of group_commit | Disk_force
 
 (* Batch-size-only group commit (no timeout), the common test spelling. *)
 let group n = Group { batch_size = n; timeout_us = 0.0 }
 
 type recovery_mode = On_demand | Predeclare | Full_reload
 
-type redo_codec = Physical | Logical | Adaptive
+type redo_codec = Physical | Logical
 
 type t = {
   partition_bytes : int;
@@ -39,7 +39,7 @@ let default =
     ckpt_disk_pages = 8192;
     n_update = 1000;
     age_grace_pages = None;
-    commit_mode = Instant;
+    commit_mode = group 1;
     recovery_mode = On_demand;
     redo_codec = Physical;
     main_cpu_mips = 6.0;
@@ -72,7 +72,7 @@ let small =
     ckpt_disk_pages = 512;
     n_update = 16;
     age_grace_pages = Some 4;
-    commit_mode = Instant;
+    commit_mode = group 1;
     recovery_mode = On_demand;
     redo_codec = Physical;
     main_cpu_mips = 6.0;
@@ -106,7 +106,7 @@ let validate t =
       Mrdb_util.Fatal.misuse "Config: group size must be >= 1"
   | Group { timeout_us; _ } when timeout_us < 0.0 ->
       Mrdb_util.Fatal.misuse "Config: group timeout must be >= 0"
-  | Group _ | Instant | Disk_force -> ());
+  | Group _ | Disk_force -> ());
   if t.n_update < 1 then Mrdb_util.Fatal.misuse "Config: n_update must be >= 1";
   (* Index node records must fit a log page and an SLB block. *)
   let record_overhead = 32 in

@@ -10,21 +10,26 @@
     waited that long on the simulated clock, whichever comes first. *)
 type group_commit = { batch_size : int; timeout_us : float }
 
-(** How transactions reach the committed state (§1.2 / §2.3.1). *)
+(** How transactions reach the committed state (§1.2 / §2.3.1).  Every
+    mode appends REDO to the transaction's SLB region as it is produced;
+    they differ only in when the commit record (the SLB ring entry) is
+    written and what the commit waits for after it. *)
 type commit_mode =
-  | Instant
-      (** Stable-SLB commit: durable the moment the committed-list entry is
-          written to stable memory — the paper's design. *)
   | Group of group_commit
-      (** FASTPATH-style group commit: the REDO reaches the SLB exactly as
-          under [Instant], but precommit releases locks without writing
-          the commit record; the group officially commits — commit records
-          written in precommit order — when [batch_size] transactions have
+      (** Commit records written in batches.  [Group { batch_size = 1; _ }]
+          (the default, [group 1]) is the paper's commit: the committing
+          transaction writes its own ring entry at once and is durable the
+          moment that stable-memory write lands.  With a larger batch a
+          transaction that does not fill the batch waits FASTPATH-style —
+          locks released, ring entry deferred — and the batch officially
+          commits, ring entries
+          in precommit order, when [batch_size] transactions have
           accumulated, the [timeout_us] deadline fires, or
           {!Db.flush_group} is called. *)
   | Disk_force
-      (** Conventional disk-WAL baseline: commit additionally forces the
-          transaction's log records to the log disk and waits. *)
+      (** Conventional disk-WAL baseline: the [group 1] commit, followed by
+          a force of the transaction's log records to the log disk and a
+          wait for it. *)
 
 (** Post-crash policy (§2.5 / §3.4). *)
 type recovery_mode =
@@ -50,11 +55,9 @@ type redo_codec =
       (** Emit a {!Mrdb_logical.Cmd_op} command record whenever the
           operation on an all-integer relation can be expressed as one
           (single-cell delta or whole-tuple insert); other operations fall
-          back to physical records in the same stream. *)
-  | Adaptive
-      (** Per-partition policy ({!Mrdb_logical.Codec_policy}): windowed
-          update-rate and record-size counters flip hot well-formed
-          partitions to command logging and back. *)
+          back to physical records in the same stream.
+          [Mrdb_analysis.Codec_model] estimates the log-volume saving and
+          the replay-cost price for a given workload. *)
 
 type t = {
   partition_bytes : int;
@@ -88,7 +91,7 @@ type t = {
 
 val group : int -> commit_mode
 (** [group n] is [Group { batch_size = n; timeout_us = 0.0 }] — flush on
-    batch size only. *)
+    batch size only.  [group 1] is the paper's commit and the default. *)
 
 val default : t
 (** Paper-flavoured geometry: 48 KB partitions, 8 KB log pages,

@@ -174,38 +174,49 @@ let ensure_relation t name =
 
 let ckpt_mgr t = Recovery_mgr.ckpt_mgr t.recovery
 
-(* Flush the pending commit group (group-commit mode).  The group's REDO
-   chains are already in stable memory (appended as uncommitted chains);
-   the flush writes only the deferred ring entries, in precommit order, so
-   the global commit_seq stream the drain merge reconstructs is exactly
-   the order the transactions entered the group.  Checkpoints MUST go
-   through this first: a precommitted transaction has released its locks
-   before its ring entry exists, so an image taken before the flush would
-   durably capture effects whose commit could still be lost in a crash —
-   recovery would resurrect a transaction that never durably committed.
-   Kept free of checkpoint work itself so the checkpoint entry points can
-   call it without mutual recursion (the public {!flush_group} adds the
-   auto-checkpoint poll). *)
-let flush_pending t v =
-  if not (Queue.is_empty v.group) then begin
+(* The commit point of one precommitted transaction: its ring entry in its
+   executor's SLB region.  The REDO chain is already in stable memory as an
+   uncommitted chain, so this one stable-memory write is all that commit
+   adds. *)
+let write_commit_record t v tx =
+  Slb.Region.commit
+    (Slb.region v.slb (Txn_core.executor tx))
+    ~txn_id:(Txn_core.id tx);
+  Txn_core.Manager.finalize_commit v.txn_mgr tx;
+  Trace.incr t.trace "commits"
+
+(* Write the waiting group's ring entries in precommit order, so the global
+   commit_seq stream the drain merge reconstructs is exactly the order the
+   transactions entered the group; returns how many waited.  Only these
+   transactions feed the group histograms. *)
+let write_waiting t v =
+  let waiting = Queue.length v.group in
+  if waiting > 0 then begin
     v.group_epoch <- v.group_epoch + 1;
-    let batch = Queue.length v.group in
     while not (Queue.is_empty v.group) do
       let tx, enq = Queue.take v.group in
-      Slb.Region.commit
-        (Slb.region v.slb (Txn_core.executor tx))
-        ~txn_id:(Txn_core.id tx);
-      Txn_core.Manager.finalize_commit v.txn_mgr tx;
+      write_commit_record t v tx;
       observe_txn_latency t tx;
       Mrdb_obs.Metrics.observe_us
         (Mrdb_obs.Obs.group_commit_wait t.obs)
-        (Sim.now t.sim -. enq);
-      Trace.incr t.trace "commits";
-      Trace.incr t.trace "group_commits"
-    done;
+        (Sim.now t.sim -. enq)
+    done
+  end;
+  waiting
+
+(* Flush the waiting group with no transaction closing it.  Checkpoints
+   MUST go through this first: a waiting transaction has released its
+   locks before its ring entry exists, so an image taken before the flush
+   would durably capture effects whose commit could still be lost in a
+   crash — recovery would resurrect a transaction that never durably
+   committed.  Kept free of checkpoint work itself so the checkpoint entry
+   points can call it without mutual recursion (the public {!flush_group}
+   adds the auto-checkpoint poll). *)
+let flush_pending t v =
+  let waiting = write_waiting t v in
+  if waiting > 0 then begin
     Db_system.drain (ctx t);
-    Mrdb_obs.Metrics.observe (Mrdb_obs.Obs.group_batch t.obs) batch;
-    Trace.incr t.trace "group_flushes"
+    Mrdb_obs.Metrics.observe (Mrdb_obs.Obs.group_batch t.obs) waiting
   end
 
 let process_checkpoints t =
@@ -232,14 +243,17 @@ let checkpoint_all t =
 let maybe_auto_checkpoint t =
   if t.cfg.Config.auto_checkpoint then ignore (process_checkpoints t)
 
-let finish_commit t v tx =
-  Slb.Region.commit
-    (Slb.region v.slb (Txn_core.executor tx))
-    ~txn_id:(Txn_core.id tx);
-  Txn_core.Manager.commit v.txn_mgr tx;
+(* [tx] closes its batch: the waiting group's ring entries, then its own,
+   then its locks go and the drain runs.  Alone — always, at batch size 1 —
+   this is the paper's commit (§2.3.1): one stable-memory write, and the
+   transaction is durable when it returns. *)
+let close_batch t v tx =
+  let waiting = write_waiting t v in
+  write_commit_record t v tx;
   ignore (Lock_mgr.release_all v.lock_mgr ~txn:(Txn_core.id tx));
   Db_system.drain (ctx t);
-  Trace.incr t.trace "commits"
+  if waiting > 0 then
+    Mrdb_obs.Metrics.observe (Mrdb_obs.Obs.group_batch t.obs) (waiting + 1)
 
 let flush_group t =
   let v = vol t in
@@ -248,20 +262,16 @@ let flush_group t =
 
 let commit t tx =
   let v = vol t in
+  (* Undo discarded; the REDO chain is in stable memory, uncommitted until
+     its ring entry is written. *)
+  Txn_core.Manager.precommit v.txn_mgr tx;
   match t.cfg.Config.commit_mode with
-  | Config.Instant ->
-      finish_commit t v tx;
-      maybe_auto_checkpoint t;
-      observe_txn_latency t tx
-  | Config.Group { Config.batch_size; timeout_us } ->
-      (* Precommit: locks released; the REDO chain is in stable memory
-         but uncommitted until the group's flush writes its ring entry. *)
-      Txn_core.Manager.precommit v.txn_mgr tx;
+  | Config.Group { Config.batch_size; timeout_us }
+    when Queue.length v.group + 1 < batch_size ->
+      (* Wait for the group: locks go now, the ring entry at the flush. *)
       ignore (Lock_mgr.release_all v.lock_mgr ~txn:(Txn_core.id tx));
       Queue.add (tx, Sim.now t.sim) v.group;
-      Trace.incr t.trace "precommits";
-      if Queue.length v.group >= batch_size then flush_group t
-      else if timeout_us > 0.0 && Queue.length v.group = 1 then begin
+      if timeout_us > 0.0 && Queue.length v.group = 1 then begin
         (* Deadline for the batch the first waiter opens.  The guards make
            a stale event harmless: the epoch moves on every flush, and the
            volatile-state identity check covers crash + recovery (crash
@@ -275,11 +285,15 @@ let commit t tx =
                 flush_group t
             | Some _ | None -> ())
       end
-  | Config.Disk_force ->
-      finish_commit t v tx;
-      (* Conventional WAL: force the log to disk and wait. *)
-      Log_sorter.force_log (Recovery_mgr.sorter t.recovery);
-      Trace.incr t.trace "log_forces";
+  | (Config.Group _ | Config.Disk_force) as mode ->
+      close_batch t v tx;
+      (match mode with
+      | Config.Disk_force ->
+          (* Conventional WAL: force the log to disk and wait. *)
+          Log_sorter.force_log (Recovery_mgr.sorter t.recovery);
+          Trace.incr t.trace "log_forces"
+      | Config.Group _ -> ());
+      (* Latency covers the whole call: drain, force and checkpoint poll. *)
       maybe_auto_checkpoint t;
       observe_txn_latency t tx
 
@@ -633,9 +647,7 @@ let create ?(config = Config.default) () =
   List.iter
     (fun (part, redo) -> Db_system.log_redo_raw (ctx t) v ~txn_id:(Txn_core.id tx) part redo)
     (List.rev !buffered);
-  Slb.commit v.slb ~txn_id:(Txn_core.id tx);
-  Txn_core.Manager.commit v.txn_mgr tx;
-  Db_system.drain (ctx t);
+  Db_system.commit_system_txn (ctx t) v tx;
   Db_system.update_wellknown (ctx t) v;
   t
 

@@ -81,19 +81,22 @@ val begin_txn : ?declare:string list -> ?executor:int -> t -> txn
 
 val txn_id : txn -> int
 val commit : t -> txn -> unit
-(** Commit per the configured {!Config.commit_mode}.  Under [Group _] the
-    transaction precommits and joins the current group; its REDO chain is
-    already in stable memory, but its commit record (the SLB ring entry)
-    waits until the group flushes (when the batch size is reached, the
-    group timeout fires on the simulated clock, or {!flush_group} is
-    called). *)
+(** Commit per the configured {!Config.commit_mode}.  The transaction's
+    REDO chain is already in stable memory; commit adds its commit record
+    (the SLB ring entry).  A transaction that fills its batch writes the
+    waiting group's commit records and then its own, releases its locks
+    and is durable when this returns — with the default [Config.group 1]
+    that is every transaction, the paper's commit.  Under [Disk_force]
+    the same commit is followed by a forced log write and a wait for it.
+    A transaction that does not fill the batch releases its locks and
+    waits: its commit record is written when the batch fills, the group
+    timeout fires on the simulated clock, or {!flush_group} is called. *)
 
 val abort : t -> txn -> unit
 val flush_group : t -> unit
-(** Officially commit the pending group now: write each queued
+(** Officially commit the waiting group now: write each waiting
     transaction's commit record in precommit order — a stable-memory
-    write, not a disk force.  No-op outside group mode or when the group
-    is empty. *)
+    write, not a disk force.  No-op when no transaction is waiting. *)
 
 val with_txn : ?executor:int -> t -> (txn -> 'a) -> 'a
 (** Run, commit on return, abort on exception (re-raised); [executor] as

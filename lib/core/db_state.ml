@@ -53,7 +53,6 @@ type vol = {
   group : (Txn_core.t * float) Queue.t; (* precommitted txn, precommit time *)
   mutable group_epoch : int; (* bumped per flush; stale timeout guards *)
   overlay_by_segment : (int, index_inst) Hashtbl.t;
-  codec : Mrdb_logical.Codec_policy.t;
   (* rel_segment -> rel_id for relations whose every column is Int — the
      only shape the command emitter can derive deltas for. *)
   cmd_rel_by_seg : (int, int) Hashtbl.t;
@@ -81,19 +80,6 @@ let mk_vol ctx ~slb ~slt ~cat ~ckpt_q =
       ~recorder:(Mrdb_obs.Obs.recorder ctx.obs)
       ~executors:ctx.cfg.Config.executors ()
   in
-  let codec_mode =
-    match ctx.cfg.Config.redo_codec with
-    | Config.Physical -> Mrdb_logical.Codec_policy.Physical
-    | Config.Logical -> Mrdb_logical.Codec_policy.Logical
-    | Config.Adaptive -> Mrdb_logical.Codec_policy.Adaptive
-  in
-  let codec = Mrdb_logical.Codec_policy.create ~mode:codec_mode () in
-  Mrdb_logical.Codec_policy.set_on_flip codec (fun part ~logical ->
-      Trace.incr ctx.trace
-        (if logical then "codec_flips_to_logical" else "codec_flips_to_physical");
-      Mrdb_obs.Flight_recorder.codec_flip
-        (Mrdb_obs.Obs.recorder ctx.obs)
-        ~segment:part.Addr.segment ~partition:part.Addr.partition ~logical);
   {
     slb;
     slt;
@@ -111,7 +97,6 @@ let mk_vol ctx ~slb ~slt ~cat ~ckpt_q =
     group = Queue.create ();
     group_epoch = 0;
     overlay_by_segment;
-    codec;
     cmd_rel_by_seg = Hashtbl.create 16;
   }
 

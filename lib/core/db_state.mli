@@ -54,9 +54,6 @@ type vol = {
       (** bumped on every group flush; a pending timeout event compares
           its captured epoch so a stale deadline never double-flushes *)
   overlay_by_segment : (int, index_inst) Hashtbl.t;
-  codec : Mrdb_logical.Codec_policy.t;
-      (** per-partition REDO codec policy, seeded from
-          [Config.redo_codec] *)
   cmd_rel_by_seg : (int, int) Hashtbl.t;
       (** rel_segment -> rel_id for all-Int relations — the only shape the
           command emitter can derive deltas for *)

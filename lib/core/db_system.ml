@@ -6,7 +6,6 @@ module Slt = Mrdb_wal.Slt
 module Log_record = Mrdb_wal.Log_record
 module Cmd_op = Mrdb_logical.Cmd_op
 module Replay = Mrdb_logical.Replay
-module Codec_policy = Mrdb_logical.Codec_policy
 module Lock_mgr = Mrdb_txn.Lock_mgr
 module Txn_core = Mrdb_txn.Txn
 module Log_sorter = Mrdb_recovery.Log_sorter
@@ -95,15 +94,11 @@ let cmd_of_images v (part : Addr.partition) ~(redo : Part_op.t) ~(undo : Part_op
       match (redo, undo) with
       | Part_op.Update { slot; data }, Part_op.Update { data = old; _ }
         when Bytes.length data = Bytes.length old
-             && Bytes.length data mod cell_bytes = 0 -> (
-          match delta_cmd ~rel_id ~slot ~data ~old with
-          | Some cmd -> Some (cmd, `Update)
-          | None -> None)
+             && Bytes.length data mod cell_bytes = 0 ->
+          delta_cmd ~rel_id ~slot ~data ~old
       | Part_op.Insert { slot; data }, _
-        when Bytes.length data mod cell_bytes = 0 -> (
-          match insert_cmd ~rel_id ~slot ~data with
-          | Some cmd -> Some (cmd, `Insert)
-          | None -> None)
+        when Bytes.length data mod cell_bytes = 0 ->
+          insert_cmd ~rel_id ~slot ~data
       | _ -> None)
 
 let next_seq v part =
@@ -116,6 +111,15 @@ let next_seq v part =
   c + 1
 
 let drain ctx = Log_sorter.drain (Recovery_mgr.sorter ctx.recovery)
+
+(* System transactions commit at once whatever the user commit mode: the
+   ring entry in region 0, then the drain. *)
+let commit_system_txn ctx v tx =
+  let txn_id = Txn_core.id tx in
+  Slb.Region.commit (Slb.region v.slb 0) ~txn_id;
+  Txn_core.Manager.commit v.txn_mgr tx;
+  ignore (Lock_mgr.release_all v.lock_mgr ~txn:txn_id);
+  drain ctx
 
 (* Forward declaration dance: logging a user record may require registering
    its partition in the catalog, which itself logs records under a system
@@ -139,9 +143,7 @@ and with_system_txn : 'a. ctx -> vol -> (Relation.log_sink -> 'a) -> 'a =
   let tx = Txn_core.Manager.begin_txn v.txn_mgr in
   let sink part ~redo ~undo:_ = log_redo_raw ctx v ~txn_id:(Txn_core.id tx) part redo in
   let result = f sink in
-  Slb.commit v.slb ~txn_id:(Txn_core.id tx);
-  Txn_core.Manager.commit v.txn_mgr tx;
-  drain ctx;
+  commit_system_txn ctx v tx;
   result
 
 let user_sink ctx v tx : Relation.log_sink =
@@ -167,19 +169,17 @@ let user_sink ctx v tx : Relation.log_sink =
           Log_record.make ~tag:(tag_for v part) ~bin_index ~txn_id ~seq ~op:redo
         in
         let record =
-          (* The mode check keeps the default [Physical] hot path free of
+          (* The codec match keeps the default [Physical] hot path free of
              derivation work (and byte-identical — the determinism goldens
              lock this). *)
-          if Codec_policy.mode v.codec = Codec_policy.Physical then physical ()
-          else
-            match cmd_of_images v part ~redo ~undo with
-            | Some (cmd, kind)
-              when Codec_policy.use_command v.codec part ~kind
-                     ~phys_size:(Part_op.encoded_size redo)
-                     ~cmd_size:(Cmd_op.encoded_size cmd) ->
-                Trace.incr ctx.trace "codec_cmd_records";
-                Log_record.make_cmd ~bin_index ~txn_id ~seq ~cmd
-            | Some _ | None -> physical ()
+          match ctx.cfg.Config.redo_codec with
+          | Config.Physical -> physical ()
+          | Config.Logical -> (
+              match cmd_of_images v part ~redo ~undo with
+              | Some cmd ->
+                  Trace.incr ctx.trace "codec_cmd_records";
+                  Log_record.make_cmd ~bin_index ~txn_id ~seq ~cmd
+              | None -> physical ())
         in
         Slb.Region.append region ~txn_id record;
         Trace.incr ctx.trace "log_records";
@@ -267,10 +267,7 @@ let drop_relation ctx v ~name =
   (* Atomic step: catalog deletions commit in one system transaction. *)
   let sink part ~redo ~undo:_ = log_redo_raw ctx v ~txn_id:(Txn_core.id tx) part redo in
   Catalog.drop_relation v.cat ~log:sink desc;
-  Slb.commit v.slb ~txn_id:(Txn_core.id tx);
-  Txn_core.Manager.commit v.txn_mgr tx;
-  ignore (Lock_mgr.release_all v.lock_mgr ~txn:(Txn_core.id tx));
-  drain ctx;
+  commit_system_txn ctx v tx;
   (* Resource reclamation (idempotent; re-done by recovery if we crash
      mid-way): bins, checkpoint-disk runs, memory, runtimes. *)
   List.iter

@@ -2,7 +2,7 @@
 
     The main CPU's half of the logging contract: stamp each physical
     operation with its partition's bin-table index and sequence number and
-    append it to the SLB (commit is instant — stable memory).  User
+    append it to the SLB (commit is one stable-memory write).  User
     transactions log through {!user_sink}; catalog maintenance runs under
     short system transactions ({!with_system_txn}), including the DDL
     operations and partition registration.  Draining the SLB into bins is
@@ -22,9 +22,13 @@ val log_redo_raw :
     region (default 0, the system region), registering the partition in
     the catalog first if needed (itself a logged system transaction). *)
 
+val commit_system_txn : ctx -> vol -> Mrdb_txn.Txn.t -> unit
+(** Commit a system transaction now, whatever {!Config.commit_mode} says:
+    its ring entry in SLB region 0, release any locks it holds, drain. *)
+
 val with_system_txn : ctx -> vol -> (Relation.log_sink -> 'a) -> 'a
-(** Run [f] under a fresh system transaction whose sink logs REDO records;
-    commit and drain afterwards. *)
+(** Run [f] under a fresh system transaction whose sink logs REDO records,
+    then {!commit_system_txn} it. *)
 
 val user_sink : ctx -> vol -> Mrdb_txn.Txn.t -> Relation.log_sink
 (** The log sink for a user transaction: records UNDO in the volatile undo

@@ -89,8 +89,8 @@ let rec fault_injection_call = function
   | _ :: rest -> fault_injection_call rest
   | [] -> None
 
-(* R7: does the reference path name an SLB append?  Matches [Slb.append],
-   [Slb.Region.append] and their [Mrdb_wal]-qualified variants — "Slb"
+(* R7: does the reference path name an SLB append?  Matches
+   [Slb.Region.append] and its [Mrdb_wal]-qualified variant — "Slb"
    anywhere in the path with "append" after it. *)
 let rec slb_append_call = function
   | "Slb" :: rest ->

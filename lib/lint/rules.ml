@@ -329,7 +329,7 @@ let default_config =
         };
         {
           a_rel = "core/db.ml";
-          a_binding = "flush_pending";
+          a_binding = "write_waiting";
           a_ident = "Sim.now";
           a_why = "group-wait histogram sample on the simulated clock; obs only";
         };
@@ -401,7 +401,7 @@ let default_config =
         };
         {
           res_name = "striped SLB regions";
-          res_write_idents = [ ("Slb", "append"); ("Region", "append") ];
+          res_write_idents = [ ("Region", "append") ];
           res_fields = [];
           res_owners = [ "wal/"; "core/db_system.ml" ];
         };

@@ -19,10 +19,10 @@
       [print_endline] / [print_newline] are banned under [lib/] outside
       [lib/obs/] and [util/texttab.ml] — library code renders through
       [Mrdb_obs.Export] or [Mrdb_util.Texttab]; only binaries print.
-    - {b R7 SLB region ownership}: [Slb.append] / [Slb.Region.append] call
-      sites are confined to [core/db_system.ml] (the per-executor redo
-      sink) and [lib/wal/] — each striped region is appended only by its
-      owning executor's logging path.
+    - {b R7 SLB region ownership}: [Slb.Region.append] call sites are
+      confined to [core/db_system.ml] (the per-executor redo sink) and
+      [lib/wal/] — each striped region is appended only by its owning
+      executor's logging path.
 
     Interprocedural rules (run on the whole-program call graph built by
     {!Index} + {!Callgraph}, configured by {!type:config}):

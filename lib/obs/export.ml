@@ -137,10 +137,6 @@ let event_fields = function
       ( "partition_restored",
         [ ("segment", segment); ("partition", partition); ("records", records) ] )
   | Phase _ -> ("phase", [])
-  | Codec_flip { segment; partition; logical } ->
-      ( "codec_flip",
-        [ ("segment", segment); ("partition", partition);
-          ("logical", if logical then 1 else 0) ] )
 
 let add_flight buf ~events_limit fr =
   Buffer.add_string buf

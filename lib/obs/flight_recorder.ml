@@ -1,7 +1,7 @@
 (* Struct-of-arrays ring: recording touches five preallocated arrays and
-   a cursor — nothing is boxed, so the recorder can sit inside Slb.append
-   without moving the hot-path needle (bench/hotpath.ml's append_obs
-   bounds the cost in CI). *)
+   a cursor — nothing is boxed, so the recorder can sit inside
+   Slb.Region.append without moving the hot-path needle
+   (bench/hotpath.ml's append_obs bounds the cost in CI). *)
 
 type event =
   | Txn_begin of { txn : int; exec : int }
@@ -15,7 +15,6 @@ type event =
   | Fault of string
   | Partition_restored of { segment : int; partition : int; records : int }
   | Phase of string
-  | Codec_flip of { segment : int; partition : int; logical : bool }
 
 (* Kind codes for the flat encoding. *)
 let k_txn_begin = 0
@@ -29,7 +28,6 @@ and k_crash = 7
 and k_fault = 8
 and k_partition_restored = 9
 and k_phase = 10
-and k_codec_flip = 11
 
 type t = {
   now : unit -> float;
@@ -104,9 +102,6 @@ let partition_restored t ~segment ~partition ~records =
 
 let phase t name = push t k_phase (intern t name) 0 0
 
-let codec_flip t ~segment ~partition ~logical =
-  push t k_codec_flip segment partition (if logical then 1 else 0)
-
 let capacity t = t.cap
 let recorded t = t.next
 
@@ -126,7 +121,6 @@ let decode t slot =
   | 8 -> Fault t.strings.(a)
   | 9 -> Partition_restored { segment = a; partition = b; records = c }
   | 10 -> Phase t.strings.(a)
-  | 11 -> Codec_flip { segment = a; partition = b; logical = c = 1 }
   | k -> Mrdb_util.Fatal.invariantf ~mod_:"Flight_recorder" "unknown event kind %d" k
 
 let events ?limit t =
@@ -158,9 +152,6 @@ let pp_event ppf = function
       Format.fprintf ppf "partition_restored part=%d.%d records=%d" segment
         partition records
   | Phase name -> Format.fprintf ppf "phase %s" name
-  | Codec_flip { segment; partition; logical } ->
-      Format.fprintf ppf "codec_flip part=%d.%d to=%s" segment partition
-        (if logical then "logical" else "physical")
 
 let dump ?(limit = 200) ppf t =
   let evs = events ~limit t in

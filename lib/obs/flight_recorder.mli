@@ -31,8 +31,6 @@ type event =
   | Fault of string  (** injected fault, by its [fault_*] counter name *)
   | Partition_restored of { segment : int; partition : int; records : int }
   | Phase of string  (** recovery phase transition *)
-  | Codec_flip of { segment : int; partition : int; logical : bool }
-      (** adaptive REDO codec flipped the partition's record family *)
 
 val create : ?capacity:int -> now:(unit -> float) -> unit -> t
 (** [capacity] (default 4096) is the ring size in events; [now] supplies
@@ -51,7 +49,6 @@ val crash : t -> unit
 val fault : t -> kind:string -> unit
 val partition_restored : t -> segment:int -> partition:int -> records:int -> unit
 val phase : t -> string -> unit
-val codec_flip : t -> segment:int -> partition:int -> logical:bool -> unit
 
 (** {2 Reading} *)
 

@@ -2,7 +2,8 @@
    above that, each power-of-two octave is split into 4 linear
    sub-buckets.  63-bit values need 8 + 4*60 = 248 buckets.  Recording is
    a bounds computation plus three stores — no allocation, so the
-   instrumentation can stay on inside Slb.append and the torture loop. *)
+   instrumentation can stay on inside Slb.Region.append and the torture
+   loop. *)
 
 let buckets = 248
 
@@ -33,8 +34,8 @@ let create () =
 (* -- counters / gauges ------------------------------------------------------ *)
 
 (* [find]-with-exception instead of [find_opt]: these run on hot paths
-   (Slb.append instrumentation, per-commit observations) where the [Some]
-   wrapper is a per-call allocation. *)
+   (Slb.Region.append instrumentation, per-commit observations) where the
+   [Some] wrapper is a per-call allocation. *)
 let counter_ref t name =
   match Hashtbl.find t.counters name with
   | r -> r

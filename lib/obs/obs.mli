@@ -54,10 +54,14 @@ val ship_batch : t -> Metrics.histogram
     {!Mrdb_replica.Replica} on the standby's registry. *)
 
 val group_batch : t -> Metrics.histogram
-(** ["group_batch_txns"]: transactions per group-commit flush. *)
+(** ["group_batch_txns"]: transactions per group-commit flush, sampled
+    only for batches in which at least one transaction waited (a
+    transaction committing alone, as every one does at batch size 1, is
+    not a sample). *)
 
 val group_commit_wait : t -> Metrics.histogram
-(** ["group_commit_wait_ns"]: simulated time each transaction spent
-    precommitted waiting for its group to flush (0 when the batch-size
+(** ["group_commit_wait_ns"]: simulated time each waiting transaction
+    spent precommitted until its group flushed (0 when the batch-size
     trigger fires within one synchronous call, up to the configured
-    timeout when the deadline flushes a partial group). *)
+    timeout when the deadline flushes a partial group).  The transaction
+    that fills a batch did not wait and is not a sample. *)

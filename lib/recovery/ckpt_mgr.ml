@@ -185,7 +185,7 @@ let run c (part : Addr.partition) =
                 ~page_bytes:(page_bytes c)
           | _ -> ());
           (* Commit installs the new location atomically. *)
-          Slb.commit c.slb ~txn_id:(Txn_core.id tx);
+          Slb.Region.commit (Slb.region c.slb 0) ~txn_id:(Txn_core.id tx);
           Txn_core.Manager.commit c.txn_mgr tx;
           c.deps.drain ();
           (match old with

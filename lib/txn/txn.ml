@@ -112,16 +112,6 @@ module Manager = struct
 
   let retire mgr t = Hashtbl.remove mgr.live t.id
 
-  let commit mgr t =
-    require_active t "commit";
-    drop_undo mgr t;
-    t.status <- Committed;
-    leave_active mgr t;
-    (match mgr.recorder with
-    | None -> ()
-    | Some fr -> Mrdb_obs.Flight_recorder.txn_commit fr ~txn:t.id ~exec:t.executor);
-    retire mgr t
-
   let precommit mgr t =
     require_active t "precommit";
     drop_undo mgr t;
@@ -138,6 +128,10 @@ module Manager = struct
     | None -> ()
     | Some fr -> Mrdb_obs.Flight_recorder.txn_commit fr ~txn:t.id ~exec:t.executor);
     retire mgr t
+
+  let commit mgr t =
+    precommit mgr t;
+    finalize_commit mgr t
 
   let abort mgr t =
     require_active t "abort";

@@ -1,17 +1,16 @@
 (** Transaction lifecycle.
 
-    States follow the paper's commit pipeline with group commit
-    ("precommit") support:
+    States follow the paper's commit pipeline:
 
     {v Active --(abort)--> Aborted
-       Active --(commit, stable SLB)-----------> Committed
-       Active --(precommit, group commit)--> Precommitted --(group flush)--> Committed v}
+       Active --(precommit)--> Precommitted --(commit record written)--> Committed v}
 
     With a {e stable} log buffer, transactions "commit instantly — they do
     not need to wait until the REDO log records are flushed to disk"
-    (§2.3.1).  In group-commit mode (FASTPATH-style, §1.2) a transaction
-    precommits — releasing its locks — and officially commits once its
-    group flushes and its commit record is written.
+    (§2.3.1): the commit record is one stable-memory write, made right
+    after precommit.  Under FASTPATH-style group commit (§1.2) a
+    precommitted transaction releases its locks and waits in
+    [Precommitted] until its group's commit records are written.
 
     A transaction carries its UNDO chain; abort decodes it and applies the
     inverse operations in reverse order through a partition resolver, then
@@ -91,17 +90,18 @@ module Manager : sig
       through its own sink).
       @raise Invalid_argument when the transaction is not active. *)
 
-  val commit : mgr -> t -> unit
-  (** Instant commit (stable-SLB path): discard undo, mark committed.
+  val precommit : mgr -> t -> unit
+  (** First phase: undo discarded, status [Precommitted]; locks may be
+      released.
       @raise Invalid_argument when not active. *)
 
-  val precommit : mgr -> t -> unit
-  (** Group-commit first phase: locks may be released, undo discarded,
-      status [Precommitted]. *)
-
   val finalize_commit : mgr -> t -> unit
-  (** Group-commit second phase (log durable): [Precommitted] →
+  (** Second phase, once the commit record is durable: [Precommitted] →
       [Committed]. *)
+
+  val commit : mgr -> t -> unit
+  (** {!precommit} then {!finalize_commit} — for system transactions,
+      which write their commit record at once. *)
 
   val abort : mgr -> t -> unit
   (** Apply the undo chain in reverse, invalidate touched overlays, mark

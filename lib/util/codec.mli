@@ -59,10 +59,10 @@ val get_i64 : bytes -> int -> int64
 
 (** {2 Scratch-buffer varint helpers}
 
-    The zero-copy logging hot path ({!Mrdb_wal.Slb.append} and friends)
-    serializes records directly into reusable scratch buffers instead of
-    going through an {!Enc}, so it needs positional varint primitives whose
-    sizes can be computed up front. *)
+    The zero-copy logging hot path ([Mrdb_wal.Slb.Region.append] and
+    friends) serializes records directly into reusable scratch buffers
+    instead of going through an {!Enc}, so it needs positional varint
+    primitives whose sizes can be computed up front. *)
 
 val varint_size : int -> int
 (** Bytes [put_varint] will write for this value (LEB128, non-negative). *)

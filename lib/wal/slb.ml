@@ -109,7 +109,7 @@ module Region = struct
     let size = Log_record.encoded_size record in
     let frame = 2 + size in
     if frame > block_bytes r - payload_off then
-      Mrdb_util.Fatal.misuse "Slb.append: record exceeds block size";
+      Mrdb_util.Fatal.misuse "Slb.Region.append: record exceeds block size";
     (* Compose the whole frame (u16 length + record) in the reusable scratch,
        then issue exactly one stable-memory write — no per-record buffers. *)
     Mrdb_util.Codec.put_u16 r.scratch 0 size;
@@ -167,13 +167,10 @@ module Region = struct
       b := get_next r !b
     done
 
-  let iter_chain r first ~f =
-    iter_chain_raw r first ~f:(fun buf ~pos ~len ->
-        f (Log_record.decode_at buf ~pos ~len))
-
   let decode_chain r first =
     let records = ref [] in
-    iter_chain r first ~f:(fun rec_ -> records := rec_ :: !records);
+    iter_chain_raw r first ~f:(fun buf ~pos ~len ->
+        records := Log_record.decode_at buf ~pos ~len :: !records);
     List.rev !records
 
   let free_chain r first =
@@ -241,18 +238,9 @@ module Region = struct
       Stable_layout.set_committed_head r.layout ~region:r.owner (head + 1);
       true
     end
-
-  let drain_one (r : t) ~f =
-    drain_one_raw r ~f:(fun ~txn_id buf ~pos ~len ->
-        f ~txn_id (Log_record.decode_at buf ~pos ~len))
 end
 
-(* Single-region compatibility surface: system transactions, the boot
-   path and the pre-striping tests all log through region 0. *)
-let append t ~txn_id record = Region.append t.regions.(0) ~txn_id record
-let commit t ~txn_id = Region.commit t.regions.(0) ~txn_id
-let iter_chain t first ~f = Region.iter_chain t.regions.(0) first ~f
-
+(* Whole-buffer queries: aggregate or search across all regions. *)
 let abort t ~txn_id =
   Array.iter (fun r -> Region.abort r ~txn_id) t.regions
 
@@ -297,11 +285,6 @@ let drain_one_raw t ~f =
   match next_region_to_drain t with
   | -1 -> false
   | i -> Region.drain_one_raw t.regions.(i) ~f
-
-let drain_one t ~f =
-  match next_region_to_drain t with
-  | -1 -> false
-  | i -> Region.drain_one t.regions.(i) ~f
 
 let drain_raw t ~f =
   (* Draining can suspend on log-disk backpressure, during which the event

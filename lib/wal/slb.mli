@@ -78,29 +78,17 @@ module Region : sig
   val uncommitted_count : t -> int
   val blocks_free : t -> int
 
-  val iter_chain : t -> int -> f:(Log_record.t -> unit) -> unit
-
-  val drain_one : t -> f:(txn_id:int -> Log_record.t -> unit) -> bool
-  (** Drain this region's oldest committed chain regardless of the global
-      merge order — use {!Slb.drain} for the merged stream. *)
 end
 
 val region : t -> int -> Region.t
 (** The region owned by executor [i].
     @raise Invalid_argument when out of range. *)
 
-(** {2 Single-region surface}
+(** {2 Whole-buffer surface}
 
-    Region-0 shims: system transactions, the boot path and the
-    pre-striping tests log through region 0.  The whole-buffer queries
-    ([pending_committed], [uncommitted_count], [blocks_free],
-    [records_of], [abort]) aggregate or search across all regions. *)
-
-val append : t -> txn_id:int -> Log_record.t -> unit
-(** Region-0 {!Region.append}. *)
-
-val commit : t -> txn_id:int -> unit
-(** Region-0 {!Region.commit}. *)
+    Queries that aggregate or search across all regions.  System
+    transactions and the boot path log through region 0
+    ([region t 0]). *)
 
 val abort : t -> txn_id:int -> unit
 (** Discard the transaction's chain whichever region holds it. *)
@@ -115,12 +103,6 @@ val pending_committed : t -> int
 
 val uncommitted_count : t -> int
 val blocks_free : t -> int
-
-val iter_chain : t -> int -> f:(Log_record.t -> unit) -> unit
-(** Region-0 {!Region.iter_chain}.  The read buffer is per region: chains
-    of one region must not be iterated concurrently (drains already
-    exclude each other via the reentrancy guard, and {!records_of} is a
-    test hook used outside drains). *)
 
 val drain_raw : t -> f:(txn_id:int -> bytes -> pos:int -> len:int -> unit) -> int
 (** Process every pending committed chain across all regions in global
@@ -144,6 +126,3 @@ val drain_raw : t -> f:(txn_id:int -> bytes -> pos:int -> len:int -> unit) -> in
 val drain : t -> f:(txn_id:int -> Log_record.t -> unit) -> int
 (** {!drain_raw} with each frame decoded into a {!Log_record.t} —
     convenience for tests and low-rate callers. *)
-
-val drain_one : t -> f:(txn_id:int -> Log_record.t -> unit) -> bool
-(** Drain the globally-oldest committed chain; false when none pending. *)

@@ -1,4 +1,4 @@
 (* R7 fixture: a non-WAL module appending directly to an SLB region,
    bypassing the per-executor redo sink that owns the region. *)
 
-let smuggle slb = Mrdb_wal.Slb.append slb ~txn_id:7 "rogue record"
+let smuggle region = Mrdb_wal.Slb.Region.append region ~txn_id:7 "rogue record"

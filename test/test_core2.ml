@@ -110,44 +110,39 @@ let test_group_commit_crash_frees_unflushed_chains () =
     (Mrdb_wal.Slb.blocks_free (Db.slb db));
   check int_t "nothing recovered" 0 (List.length (kv_of db))
 
-let test_group_batch_one_matches_instant () =
-  (* Group commit with a batch of one writes the same bytes to stable
-     memory and the log disk as instant commit: the modes differ only in
-     when locks are released relative to the commit record. *)
-  let run mode =
-    let config = { Config.small with Config.commit_mode = mode } in
-    let db = Db.create ~config () in
-    Db.create_relation db ~name:"t" ~schema;
-    let addrs = Array.make 20 None in
-    for i = 0 to 199 do
-      let k = i * 7 mod 20 in
-      let tx = Db.begin_txn db in
-      (match addrs.(k) with
-      | None ->
-          addrs.(k) <- Some (Db.insert db tx ~rel:"t" [| Schema.int k; Schema.S "v" |])
-      | Some a ->
-          addrs.(k) <-
-            Some (Db.update_field db tx ~rel:"t" a ~column:"v"
-                    (Schema.S (string_of_int i))));
-      Db.commit db tx
-    done;
-    Db.quiesce db;
-    let mem = Db.stable_mem db in
-    let image = Mrdb_hw.Stable_mem.read mem ~off:0 ~len:(Mrdb_hw.Stable_mem.size mem) in
-    let written = Mrdb_hw.Stable_mem.bytes_written mem in
-    let pages = Mrdb_wal.Log_disk.pages_written (Db.log_disk db) in
-    let ckpts = Mrdb_sim.Trace.count (Db.trace db) "checkpoints" in
-    (image, written, pages, ckpts, kv_of db)
-  in
-  let img_i, bytes_i, pages_i, ckpts_i, kv_i = run Config.Instant in
-  let img_g, bytes_g, pages_g, ckpts_g, kv_g = run (Config.group 1) in
-  check bool_t "stable memory byte-identical" true (Bytes.equal img_i img_g);
-  check int_t "stable bytes written" bytes_i bytes_g;
-  check int_t "log pages written" pages_i pages_g;
-  check int_t "checkpoints" ckpts_i ckpts_g;
+let test_default_commit_durable_at_return () =
+  (* The default commit is a group of one — the paper's commit: once
+     [Db.commit] returns, its ring entry is in stable memory.  A crash
+     right then, with no flush and no quiesce, must recover it, and no
+     transaction may be left waiting for a group. *)
+  let db = Db.create ~config:Config.small () in
+  Db.create_relation db ~name:"t" ~schema;
+  let a = ref None in
+  for i = 1 to 5 do
+    let tx = Db.begin_txn db in
+    (match !a with
+    | None -> a := Some (Db.insert db tx ~rel:"t" [| Schema.int 0; Schema.S "v0" |])
+    | Some addr ->
+        a := Some (Db.update_field db tx ~rel:"t" addr ~column:"v"
+                     (Schema.S (Printf.sprintf "v%d" i))));
+    ignore (Db.insert db tx ~rel:"t" [| Schema.int i; Schema.S "x" |]);
+    Db.commit db tx;
+    check int_t "no uncommitted chain after commit returns" 0
+      (Mrdb_wal.Slb.uncommitted_count (Db.slb db))
+  done;
+  let commits () = Mrdb_sim.Trace.count (Db.trace db) "commits" in
+  let before = commits () in
+  Db.flush_group db;
+  check int_t "nothing left precommitted for a flush to commit" before (commits ());
+  check int_t "no transaction waited for a group" 0
+    (Mrdb_obs.Metrics.h_count (Mrdb_obs.Obs.group_commit_wait (Db.obs db)));
+  Db.crash db;
+  Db.recover db;
   check
     (Alcotest.list (Alcotest.pair int_t Alcotest.string))
-    "same committed state" kv_i kv_g
+    "every returned commit recovered"
+    [ (0, "v5"); (1, "x"); (2, "x"); (3, "x"); (4, "x"); (5, "x") ]
+    (kv_of db)
 
 let test_group_commit_slb_full_at_append () =
   (* With the REDO in the SLB from the first append, SLB exhaustion
@@ -422,8 +417,8 @@ let () =
             test_group_commit_precommitted_redo_in_slb;
           Alcotest.test_case "crash frees unflushed chains" `Quick
             test_group_commit_crash_frees_unflushed_chains;
-          Alcotest.test_case "batch of one matches instant" `Quick
-            test_group_batch_one_matches_instant;
+          Alcotest.test_case "default commit durable when it returns" `Quick
+            test_default_commit_durable_at_return;
           Alcotest.test_case "SLB exhaustion surfaces at append" `Quick
             test_group_commit_slb_full_at_append;
         ] );

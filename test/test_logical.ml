@@ -3,15 +3,14 @@
    table, relation-target vs partition-target replay equivalence (the
    restart path and the standby audit must produce byte-identical
    partitions), and the full stack under [Config.redo_codec]: command
-   emission, crash recovery of a logical-coded run, the byte win over the
-   physical codec, and the adaptive policy's deterministic flips. *)
+   emission, crash recovery of a logical-coded run, and the byte win over
+   the physical codec. *)
 
 open Mrdb_storage
 open Mrdb_core
 module Cmd_op = Mrdb_logical.Cmd_op
 module Dispatch = Mrdb_logical.Dispatch
 module Replay = Mrdb_logical.Replay
-module Codec_policy = Mrdb_logical.Codec_policy
 module Log_record = Mrdb_wal.Log_record
 module Trace = Mrdb_sim.Trace
 
@@ -284,40 +283,6 @@ let test_logical_beats_physical_bytes () =
     (Printf.sprintf "logical (%d B) well under physical (%d B)" log phys)
     true (log * 2 < phys)
 
-let test_adaptive_flips_deterministically () =
-  let run () =
-    let config = { Config.small with Config.redo_codec = Config.Adaptive } in
-    let db = Db.create ~config () in
-    let state = run_workload db ~rows:8 ~updates:300 in
-    let t = Db.trace db in
-    ( state,
-      Trace.count t "codec_flips_to_logical",
-      Trace.count t "codec_cmd_records",
-      Trace.count t "codec_log_bytes" )
-  in
-  let state1, flips1, cmds1, bytes1 = run () in
-  let state2, flips2, cmds2, bytes2 = run () in
-  check bool_t "hot partitions flipped to command logging" true (flips1 > 0);
-  check bool_t "commands flowed after the flip" true (cmds1 > 0);
-  check bool_t "identical state across runs" true (state1 = state2);
-  check int_t "flip count deterministic" flips1 flips2;
-  check int_t "command count deterministic" cmds1 cmds2;
-  check int_t "byte count deterministic" bytes1 bytes2;
-  (* Adaptive crash-recovers its mixed stream too. *)
-  let config = { Config.small with Config.redo_codec = Config.Adaptive } in
-  let db = Db.create ~config () in
-  let before = run_workload db ~rows:8 ~updates:300 in
-  Db.crash db;
-  Db.recover db;
-  Db.recover_everything db;
-  let after =
-    Db.with_txn db (fun tx -> Db.scan db tx ~rel:"t")
-    |> List.map (fun (_, tup) ->
-           (Schema.to_int (Tuple.field tup 0), Schema.to_int (Tuple.field tup 1)))
-    |> List.sort compare
-  in
-  check Alcotest.(list (pair int int)) "adaptive run recovers" before after
-
 let test_physical_default_emits_no_commands () =
   let db = Db.create ~config:Config.small () in
   ignore (run_workload db ~rows:8 ~updates:50);
@@ -353,8 +318,6 @@ let () =
             test_logical_crash_recover;
           Alcotest.test_case "logical beats physical on bytes" `Quick
             test_logical_beats_physical_bytes;
-          Alcotest.test_case "adaptive flips deterministically" `Quick
-            test_adaptive_flips_deterministically;
           Alcotest.test_case "physical default emits no commands" `Quick
             test_physical_default_emits_no_commands;
         ] );

@@ -325,7 +325,7 @@ let test_codec_model_shapes () =
   let r h = XM.bytes_ratio cp ~hotness:h in
   check bool_t "monotone in hotness" true (r 1.0 > r 0.5 && r 0.5 > r 0.0);
   check bool_t "always a win at measured sizes" true (r 0.0 > 1.0);
-  (* At the defaults even an all-insert mix clears the policy's 2x margin;
+  (* At the defaults even an all-insert mix clears a 2x margin;
      fatten the physical record and the crossover moves into (0,1); make
      commands as big as images and it vanishes. *)
   check bool_t "crossover at 0 for measured sizes" true

@@ -20,10 +20,10 @@
                               fault plan may fail individual executors
                               (the group-commit campaign spreads its
                               transactions round-robin too)
-     MRDB_REDO_CODEC=<c>      physical | logical | adaptive (default
-                              physical): the REDO record family the
-                              commit path emits — logical and adaptive
-                              runs recover across mixed-codec chains,
+     MRDB_REDO_CODEC=<c>      physical | logical (default physical):
+                              the REDO record family the commit path
+                              emits — logical runs recover across
+                              mixed-codec chains,
                               since non-derivable operations fall back
                               to physical records in the same stream
 
@@ -50,7 +50,6 @@ let executors =
 let redo_codec, codec_name =
   match Sys.getenv_opt "MRDB_REDO_CODEC" with
   | Some "logical" -> (Config.Logical, "logical")
-  | Some "adaptive" -> (Config.Adaptive, "adaptive")
   | None | Some "physical" -> (Config.Physical, "physical")
   | Some other -> Alcotest.failf "MRDB_REDO_CODEC: unknown codec %S" other
 
@@ -257,9 +256,9 @@ let group_replay_line seed =
   Printf.sprintf "%sMRDB_GROUP_SEED=%d dune exec test/test_torture.exe"
     env_prefix seed
 
-let total_group_flushes = ref 0
+let total_group_batches = ref 0
 let total_group_timeout_flushes = ref 0
-let total_group_commits = ref 0
+let total_group_waiters = ref 0
 let total_group_suffix_losses = ref 0
 
 let run_group_seed seed =
@@ -397,10 +396,16 @@ let run_group_seed seed =
   Db.flush_group db;
   crash_recover_verify ~require_full:true;
   let trace = Db.trace db in
-  total_group_flushes := !total_group_flushes + Mrdb_sim.Trace.count trace "group_flushes";
+  let obs = Db.obs db in
+  (* One group_batch sample per batch that had waiters, one
+     group_commit_wait sample per transaction that waited. *)
+  total_group_batches :=
+    !total_group_batches + Mrdb_obs.Metrics.h_count (Mrdb_obs.Obs.group_batch obs);
   total_group_timeout_flushes :=
     !total_group_timeout_flushes + Mrdb_sim.Trace.count trace "group_timeout_flushes";
-  total_group_commits := !total_group_commits + Mrdb_sim.Trace.count trace "group_commits"
+  total_group_waiters :=
+    !total_group_waiters
+    + Mrdb_obs.Metrics.h_count (Mrdb_obs.Obs.group_commit_wait obs)
 
 (* -- Replication crash-anywhere campaign --------------------------------------
 
@@ -778,9 +783,9 @@ let () =
                both trigger paths must fire, and at least one crash must
                land on an unflushed group (otherwise the prefix acceptance
                never exercised its weaker clause). *)
-            Alcotest.(check bool) "groups flushed" true (!total_group_flushes > 0);
+            Alcotest.(check bool) "groups flushed" true (!total_group_batches > 0);
             Alcotest.(check bool) "transactions group-committed" true
-              (!total_group_commits > 0);
+              (!total_group_waiters > 0);
             if List.length group_seeds >= 24 then begin
               Alcotest.(check bool) "timeout deadline flushed partial groups" true
                 (!total_group_timeout_flushes > 0);

@@ -140,12 +140,13 @@ let test_page_rejects_oversized_payload () =
 let test_slb_append_commit_drain () =
   let layout = mk_layout () in
   let slb = Slb.create layout in
-  Slb.append slb ~txn_id:1 (mk_record ~txn:1 ~seq:1 ());
-  Slb.append slb ~txn_id:2 (mk_record ~txn:2 ~seq:1 ());
-  Slb.append slb ~txn_id:1 (mk_record ~txn:1 ~seq:2 ());
+  let r0 = Slb.region slb 0 in
+  Slb.Region.append r0 ~txn_id:1 (mk_record ~txn:1 ~seq:1 ());
+  Slb.Region.append r0 ~txn_id:2 (mk_record ~txn:2 ~seq:1 ());
+  Slb.Region.append r0 ~txn_id:1 (mk_record ~txn:1 ~seq:2 ());
   check int_t "two uncommitted" 2 (Slb.uncommitted_count slb);
-  Slb.commit slb ~txn_id:2;
-  Slb.commit slb ~txn_id:1;
+  Slb.Region.commit r0 ~txn_id:2;
+  Slb.Region.commit r0 ~txn_id:1;
   check int_t "two pending" 2 (Slb.pending_committed slb);
   let order = ref [] in
   let n =
@@ -165,8 +166,9 @@ let test_slb_append_commit_drain () =
 let test_slb_abort_frees_blocks () =
   let layout = mk_layout () in
   let slb = Slb.create layout in
+  let r0 = Slb.region slb 0 in
   let free0 = Slb.blocks_free slb in
-  Slb.append slb ~txn_id:1 (mk_record ());
+  Slb.Region.append r0 ~txn_id:1 (mk_record ());
   check bool_t "block allocated" true (Slb.blocks_free slb < free0);
   Slb.abort slb ~txn_id:1;
   check int_t "blocks back" free0 (Slb.blocks_free slb);
@@ -175,11 +177,12 @@ let test_slb_abort_frees_blocks () =
 let test_slb_chains_span_blocks () =
   let layout = mk_layout () in
   let slb = Slb.create layout in
+  let r0 = Slb.region slb 0 in
   for i = 1 to 20 do
-    Slb.append slb ~txn_id:1 (mk_record ~seq:i ~size:60 ())
+    Slb.Region.append r0 ~txn_id:1 (mk_record ~seq:i ~size:60 ())
   done;
   check int_t "records preserved" 20 (List.length (Slb.records_of slb ~txn_id:1));
-  Slb.commit slb ~txn_id:1;
+  Slb.Region.commit r0 ~txn_id:1;
   let seen = ref [] in
   ignore
     (Slb.drain slb ~f:(fun ~txn_id:_ r -> seen := r.Log_record.seq :: !seen));
@@ -190,15 +193,17 @@ let test_slb_chains_span_blocks () =
 let test_slb_exhaustion () =
   let layout = mk_layout () in
   let slb = Slb.create layout in
+  let r0 = Slb.region slb 0 in
   Alcotest.check_raises "full" Slb.Slb_full (fun () ->
       for txn = 1 to 1000 do
-        Slb.append slb ~txn_id:txn (mk_record ~txn ~size:100 ())
+        Slb.Region.append r0 ~txn_id:txn (mk_record ~txn ~size:100 ())
       done)
 
 let test_slb_empty_commit_is_trivial () =
   let layout = mk_layout () in
   let slb = Slb.create layout in
-  Slb.commit slb ~txn_id:42;
+  let r0 = Slb.region slb 0 in
+  Slb.Region.commit r0 ~txn_id:42;
   check int_t "no ring entry" 0 (Slb.pending_committed slb)
 
 let test_slb_survives_crash () =
@@ -206,11 +211,12 @@ let test_slb_survives_crash () =
   let mem = Mrdb_hw.Stable_mem.create ~size:(Stable_layout.required_bytes cfg) () in
   let layout = Stable_layout.attach cfg mem in
   let slb = Slb.create layout in
-  Slb.append slb ~txn_id:1 (mk_record ~txn:1 ~seq:1 ());
-  Slb.append slb ~txn_id:1 (mk_record ~txn:1 ~seq:2 ());
-  Slb.commit slb ~txn_id:1;
+  let r0 = Slb.region slb 0 in
+  Slb.Region.append r0 ~txn_id:1 (mk_record ~txn:1 ~seq:1 ());
+  Slb.Region.append r0 ~txn_id:1 (mk_record ~txn:1 ~seq:2 ());
+  Slb.Region.commit r0 ~txn_id:1;
   (* txn 2 never commits: its records must vanish. *)
-  Slb.append slb ~txn_id:2 (mk_record ~txn:2 ~seq:1 ());
+  Slb.Region.append r0 ~txn_id:2 (mk_record ~txn:2 ~seq:1 ());
   (* Crash: volatile structures discarded, stable memory survives. *)
   let layout' = Stable_layout.attach cfg mem in
   let slb' = Slb.recover layout' in
@@ -232,15 +238,16 @@ let test_slb_ring_wraparound () =
      order. *)
   let layout = mk_layout () in
   let slb = Slb.create layout in
+  let r0 = Slb.region slb 0 in
   let next_txn = ref 0 in
   for _wave = 1 to 5 do
     let first = !next_txn in
     for _ = 1 to 20 do
       let txn = !next_txn in
       incr next_txn;
-      Slb.append slb ~txn_id:txn (mk_record ~txn ~seq:1 ());
-      Slb.append slb ~txn_id:txn (mk_record ~txn ~seq:2 ());
-      Slb.commit slb ~txn_id:txn
+      Slb.Region.append r0 ~txn_id:txn (mk_record ~txn ~seq:1 ());
+      Slb.Region.append r0 ~txn_id:txn (mk_record ~txn ~seq:2 ());
+      Slb.Region.commit r0 ~txn_id:txn
     done;
     let order = ref [] in
     let n = Slb.drain slb ~f:(fun ~txn_id r -> order := (txn_id, r.Log_record.seq) :: !order) in
@@ -261,16 +268,17 @@ let test_slb_ring_wrap_crash_recover () =
   let mem = Mrdb_hw.Stable_mem.create ~size:(Stable_layout.required_bytes cfg) () in
   let layout = Stable_layout.attach cfg mem in
   let slb = Slb.create layout in
+  let r0 = Slb.region slb 0 in
   (* Advance the cursors to 24 of 32 so the next 16 commits wrap. *)
   for txn = 1 to 24 do
-    Slb.append slb ~txn_id:txn (mk_record ~txn ~seq:1 ());
-    Slb.commit slb ~txn_id:txn
+    Slb.Region.append r0 ~txn_id:txn (mk_record ~txn ~seq:1 ());
+    Slb.Region.commit r0 ~txn_id:txn
   done;
   ignore (Slb.drain slb ~f:(fun ~txn_id:_ _ -> ()));
   for txn = 100 to 115 do
-    Slb.append slb ~txn_id:txn (mk_record ~txn ~seq:1 ());
-    Slb.append slb ~txn_id:txn (mk_record ~txn ~seq:2 ());
-    Slb.commit slb ~txn_id:txn
+    Slb.Region.append r0 ~txn_id:txn (mk_record ~txn ~seq:1 ());
+    Slb.Region.append r0 ~txn_id:txn (mk_record ~txn ~seq:2 ());
+    Slb.Region.commit r0 ~txn_id:txn
   done;
   (* Crash: volatile state gone, stable memory (wrapped ring) survives. *)
   let layout' = Stable_layout.attach cfg mem in

@@ -107,7 +107,8 @@ let run_bank_with mode =
   (db, bank)
 
 let test_group_commit_equivalent_results () =
-  let db_i, bank_i = run_bank_with Config.Instant in
+  (* The default commit (a group of one) against real batching. *)
+  let db_i, bank_i = run_bank_with Config.small.Config.commit_mode in
   let db_g, bank_g = run_bank_with (Config.group 4) in
   check Alcotest.int64 "same totals under same seed"
     (Workload.Bank.audit bank_i db_i) (Workload.Bank.audit bank_g db_g);
@@ -120,9 +121,19 @@ let test_group_commit_survives_crash_after_flush () =
   Db.recover db;
   check Alcotest.int64 "flushed groups durable" total (Workload.Bank.audit bank db)
 
+let latency_p50 db =
+  Mrdb_obs.Metrics.quantile (Mrdb_obs.Obs.txn_latency (Db.obs db)) 0.5
+
 let test_disk_force_mode_works () =
   let db, bank = run_bank_with Config.Disk_force in
   check bool_t "invariant" true (Workload.Bank.consistent bank db);
+  (* Disk-force is the default commit plus a log force; its latency must
+     include the wait for that force. *)
+  let forced = latency_p50 db in
+  let default = latency_p50 (fst (run_bank_with Config.small.Config.commit_mode)) in
+  check bool_t
+    (Printf.sprintf "disk-force p50 %d ns above default p50 %d ns" forced default)
+    true (forced > default);
   Db.crash db;
   Db.recover db;
   check bool_t "recovers" true (Workload.Bank.consistent bank db)
