@@ -124,7 +124,7 @@ let () =
       Printf.eprintf
         "mrdb_lint: %s clean (R1 wild-write, R2 layering, R3 partiality, \
          R4 sealed interfaces, R5 fault containment, R6 output discipline, \
-         R7 SLB region ownership, R8 determinism, R9 ownership, R10 \
+         R8 determinism, R9 ownership (incl. SLB regions), R10 \
          structured raises, R11 allowlist hygiene)\n"
         (String.concat " " lib_dirs)
   | _ ->

@@ -5,8 +5,6 @@ type commit_mode = Group of group_commit | Disk_force
 (* Batch-size-only group commit (no timeout), the common test spelling. *)
 let group n = Group { batch_size = n; timeout_us = 0.0 }
 
-type recovery_mode = On_demand | Predeclare | Full_reload
-
 type redo_codec = Physical | Logical
 
 type t = {
@@ -18,7 +16,6 @@ type t = {
   n_update : int;
   age_grace_pages : int option;
   commit_mode : commit_mode;
-  recovery_mode : recovery_mode;
   redo_codec : redo_codec;
   main_cpu_mips : float;
   recovery_cpu_mips : float;
@@ -40,7 +37,6 @@ let default =
     n_update = 1000;
     age_grace_pages = None;
     commit_mode = group 1;
-    recovery_mode = On_demand;
     redo_codec = Physical;
     main_cpu_mips = 6.0;
     recovery_cpu_mips = 1.0;
@@ -73,7 +69,6 @@ let small =
     n_update = 16;
     age_grace_pages = Some 4;
     commit_mode = group 1;
-    recovery_mode = On_demand;
     redo_codec = Physical;
     main_cpu_mips = 6.0;
     recovery_cpu_mips = 1.0;

@@ -2,8 +2,9 @@
 
     Groups every tunable the paper discusses: partition size, log page
     size, the N_update checkpoint threshold, log window size, stable memory
-    geometry, plus the commit-path and post-crash recovery policies used by
-    the baseline comparisons. *)
+    geometry, plus the commit-path policy used by the baseline
+    comparisons.  Restart has one policy (§2.5) and no knob here: see
+    {!Db.recover}. *)
 
 (** Group-commit tuning: flush when [batch_size] precommitted transactions
     have accumulated, or — when [timeout_us > 0] — when the oldest has
@@ -30,18 +31,6 @@ type commit_mode =
       (** Conventional disk-WAL baseline: the [group 1] commit, followed by
           a force of the transaction's log records to the log disk and a
           wait for it. *)
-
-(** Post-crash policy (§2.5 / §3.4). *)
-type recovery_mode =
-  | On_demand
-      (** Restore catalogs, then partitions as transactions touch them,
-          with a low-priority background sweep — the paper's design. *)
-  | Predeclare
-      (** Transactions declare their relations up front and wait for them
-          (§2.5 method 1). *)
-  | Full_reload
-      (** Database-level recovery baseline (Hagmann-style): reload
-          everything and process all log before any transaction runs. *)
 
 (** Which REDO record family the commit path emits for relation data
     partitions.  Catalog, index and string-heap records are always
@@ -72,7 +61,6 @@ type t = {
   n_update : int;            (** checkpoint trigger threshold (N_update) *)
   age_grace_pages : int option;
   commit_mode : commit_mode;
-  recovery_mode : recovery_mode;
   redo_codec : redo_codec;  (** REDO record family policy (default [Physical]) *)
   main_cpu_mips : float;     (** paper: 6 MIPS *)
   recovery_cpu_mips : float; (** paper: 1 MIPS *)

@@ -96,7 +96,7 @@ let recovery_env t =
   Recovery_env.create ~sim:t.sim ~trace:t.trace
     ~ckpt_disk:(fun () -> t.ckpt_disk)
     ~archiver:t.archiver ~partition_bytes:t.cfg.Config.partition_bytes
-    ~obs:t.obs ()
+    ~obs:t.obs
 
 (* -- transaction control -------------------------------------------------- *)
 
@@ -304,9 +304,7 @@ let begin_txn ?(declare = []) ?(executor = 0) t =
     Mrdb_util.Fatal.misuse
       (Printf.sprintf "Db.begin_txn: executor %d out of range (executors = %d)"
          executor t.cfg.Config.executors);
-  (match t.cfg.Config.recovery_mode with
-  | Config.Predeclare | Config.On_demand | Config.Full_reload ->
-      List.iter (fun name -> ensure_relation t name) declare);
+  List.iter (ensure_relation t) declare;
   Txn_core.Manager.begin_txn ~executor v.txn_mgr
 
 let abort t tx =
@@ -514,9 +512,8 @@ let recover_everything t =
   ignore (vol t);
   Restorer.sweep (restorer (ctx t))
 
-let recover ?mode t =
+let recover t =
   if t.vol <> None then Mrdb_util.Fatal.misuse "Db.recover: not crashed";
-  let mode = Option.value mode ~default:t.cfg.Config.recovery_mode in
   let started = Sim.now t.sim in
   (* Re-attach the stable layout and rebuild the recovery component's
      stable-side structures; restore the catalogs from the well-known
@@ -539,10 +536,7 @@ let recover ?mode t =
   attach_recovery t v;
   t.vol <- Some v;
   Trace.incr t.trace "recoveries";
-  Trace.record t.trace "catalog_recovery_us" (Sim.now t.sim -. started);
-  match mode with
-  | Config.Full_reload -> recover_everything t
-  | Config.On_demand | Config.Predeclare -> ()
+  Trace.record t.trace "catalog_recovery_us" (Sim.now t.sim -. started)
 
 (* -- replication roles --------------------------------------------------------- *)
 
@@ -551,7 +545,7 @@ let demote_to_standby t =
     Mrdb_util.Fatal.misuse "Db.demote_to_standby: crash the node first";
   t.role <- Standby
 
-let promote ?mode t =
+let promote t =
   (match t.role with
   | Primary -> Mrdb_util.Fatal.misuse "Db.promote: node is already the primary"
   | Standby -> ());
@@ -563,7 +557,7 @@ let promote ?mode t =
      succeeds, so a promotion that dies mid-restart leaves the node a
      standby.  Note {!recover} resets the timeline, so the failover charge
      is added afterwards and survives. *)
-  if t.vol = None then recover ?mode t;
+  if t.vol = None then recover t;
   t.role <- Primary;
   Mrdb_obs.Timeline.add (Mrdb_obs.Obs.timeline t.obs) Mrdb_obs.Timeline.Failover
     ~dur_us:(Sim.now t.sim -. started);

@@ -71,9 +71,12 @@ val relations : t -> string list
 (** {2 Transactions} *)
 
 val begin_txn : ?declare:string list -> ?executor:int -> t -> txn
-(** [declare] (Predeclare mode, §2.5 method 1) names the relations the
-    transaction will touch; they are restored before the transaction
-    starts.  [executor] (default 0) is the logical executor the
+(** [declare] names the relations the transaction will touch; after a
+    crash, any of their partitions not yet resident are restored before
+    the transaction starts (§2.5 method 1).  Undeclared relations fault
+    their partitions in on first access (§2.5 method 2).  Each
+    transaction makes this choice; there is no database-wide mode.
+    [executor] (default 0) is the logical executor the
     transaction runs on: its REDO records go to that executor's SLB
     region and its flight events carry the id.
     @raise Invalid_argument when [executor] is outside
@@ -149,11 +152,17 @@ val crash : t -> unit
 
 val is_crashed : t -> bool
 
-val recover : ?mode:Config.recovery_mode -> t -> unit
-(** Phase 1 of post-crash recovery: rebuild the recovery component from
-    stable memory, drain committed-but-unsorted records, restore the
-    catalogs from the well-known area, and (in [Full_reload] mode) restore
-    every partition.  Transaction processing may resume on return. *)
+val recover : t -> unit
+(** The one restart path (§2.5): rebuild the recovery component from
+    stable memory, drain committed-but-unsorted records and restore the
+    catalogs from the well-known area.  Transaction processing may resume
+    on return; partitions are then restored as transactions declare or
+    touch them ({!begin_txn}), and by the background sweep
+    ({!background_recovery_step}).  The database-level full-reload
+    baseline (§3.4) is [recover] followed by {!recover_everything}.
+    @raise Mrdb_util.Fatal.Invariant when a catalog partition's durable
+    state is unreadable, or its checkpoint image belongs to another
+    partition. *)
 
 val ensure_relation : t -> string -> unit
 (** Demand-restore a relation (all its partitions and index overlays). *)
@@ -173,10 +182,10 @@ val demote_to_standby : t -> unit
     @raise Invalid_argument while volatile state exists: quiesce and
     {!crash} first, so demotion can never strand live transactions. *)
 
-val promote : ?mode:Config.recovery_mode -> t -> unit
+val promote : t -> unit
 (** Failover: make this standby the primary.  A cold standby first runs
     {!recover} against its shipped durable artifacts (so promotion works
-    mid-catchup — remaining partitions restore on demand under [mode]);
+    mid-catchup — remaining partitions restore on demand);
     a warm standby just flips the role.  The elapsed simulated time lands
     in the timeline's [Failover] phase and the ["promotions"] trace
     counter.
@@ -187,7 +196,8 @@ val background_recovery_step : t -> bool
     background sweep); false when the database is fully resident. *)
 
 val recover_everything : t -> unit
-(** Drain the background sweep. *)
+(** Drain the background sweep: restore every partition not yet
+    resident. *)
 
 val resident_fraction : t -> float
 (** Fraction of catalogued partitions currently memory-resident. *)

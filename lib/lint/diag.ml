@@ -5,7 +5,6 @@ type rule =
   | R4
   | R5
   | R6
-  | R7
   | R8
   | R9
   | R10
@@ -28,14 +27,13 @@ let rule_name = function
   | R4 -> "R4"
   | R5 -> "R5"
   | R6 -> "R6"
-  | R7 -> "R7"
   | R8 -> "R8"
   | R9 -> "R9"
   | R10 -> "R10"
   | R11 -> "R11"
   | Parse_error -> "parse"
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R8; R9; R10; R11 ]
 
 let rule_of_name s =
   List.find_opt (fun r -> rule_name r = s) all_rules
@@ -47,7 +45,6 @@ let rule_title = function
   | R4 -> "sealed interfaces"
   | R5 -> "fault-injection containment"
   | R6 -> "output discipline"
-  | R7 -> "SLB region ownership"
   | R8 -> "determinism"
   | R9 -> "ownership"
   | R10 -> "structured raises"
@@ -77,11 +74,6 @@ let paper_clause = function
       "observability: runtime output goes through Mrdb_obs.Export or "
       ^ "Mrdb_util.Texttab; no bare Printf.printf/print_string under lib/ "
       ^ "outside lib/obs and util/texttab.ml"
-  | R7 ->
-      "executor sharding: each striped SLB region is appended only by its "
-      ^ "owning executor's logging path; all appends funnel through "
-      ^ "core/db_system.ml (the per-executor redo sink) or stay inside "
-      ^ "mrdb_wal"
   | R8 ->
       "paper 2.3/2.5: recovery replays the SLB->SLT commit order to "
       ^ "reconstruct the exact committed state, so no function reachable "

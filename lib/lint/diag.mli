@@ -7,7 +7,6 @@ type rule =
   | R4
   | R5
   | R6
-  | R7
   | R8
   | R9
   | R10
@@ -27,7 +26,9 @@ val rule_name : rule -> string
 val rule_title : rule -> string
 
 val all_rules : rule list
-(** Every enforced rule, in order (excludes [Parse_error]). *)
+(** Every enforced rule, in order (excludes [Parse_error]).  R7 (SLB
+    region ownership) was folded into R9's "striped SLB regions" resource
+    and its number is retired. *)
 
 val rule_of_name : string -> rule option
 (** ["R8"] -> [Some R8]; drives [mrdb_lint --explain]. *)

@@ -89,15 +89,6 @@ let rec fault_injection_call = function
   | _ :: rest -> fault_injection_call rest
   | [] -> None
 
-(* R7: does the reference path name an SLB append?  Matches
-   [Slb.Region.append] and its [Mrdb_wal]-qualified variant — "Slb"
-   anywhere in the path with "append" after it. *)
-let rec slb_append_call = function
-  | "Slb" :: rest ->
-      if List.mem "append" rest then Some ("Slb." ^ String.concat "." rest)
-      else slb_append_call rest
-  | _ :: rest -> slb_append_call rest
-  | [] -> None
 
 let check_structure ~file ~rel str =
   let dir = match String.index_opt rel '/' with
@@ -172,17 +163,6 @@ let check_structure ~file ~rel str =
                 must not fabricate device faults" name)
       | None -> ()
   in
-  let check_r7 loc path =
-    if not (Rules.slb_append_allowed rel) then
-      match slb_append_call path with
-      | Some name ->
-          add Diag.R7 loc
-            (Printf.sprintf
-               "SLB append %s outside the executor-owned logging path; \
-                only core/db_system.ml and the WAL component may append \
-                to an SLB region" name)
-      | None -> ()
-  in
   let on_lid (lid : Longident.t Location.loc) =
     match flatten_opt lid.txt with
     | None -> ()
@@ -191,8 +171,7 @@ let check_structure ~file ~rel str =
         check_r2 lid.loc path;
         check_r3 lid.loc path;
         check_r5 lid.loc path;
-        check_r6 lid.loc path;
-        check_r7 lid.loc path
+        check_r6 lid.loc path
   in
   let on_assert_false loc =
     if not (Rules.partiality_allowed rel) then

@@ -2,7 +2,7 @@
     the architecture rules declared in {!Rules}.
 
     Two phases over one parse per file.  Phase 1 runs the per-file rules
-    (R1-R7) and distills each file into an {!Index.modinfo}; phase 2
+    (R1-R6) and distills each file into an {!Index.modinfo}; phase 2
     builds the cross-module {!Callgraph} and runs the interprocedural
     rules (R8 determinism, R9 ownership, R10 structured raises, R11
     allowlist hygiene).
@@ -26,7 +26,7 @@ val index_tree : lib_dir:string -> Index.t
     for the call-graph golden tests. *)
 
 val lint : ?config:Rules.config -> lib_dir:string -> unit -> Diag.t list
-(** Walk [lib_dir] recursively, lint every [.ml] (rules R1-R7), check
+(** Walk [lib_dir] recursively, lint every [.ml] (rules R1-R6), check
     every one has a matching [.mli] (R4), then run the interprocedural
     rules (R8-R11) on the whole-program call graph.  [config] defaults to
     {!Rules.default_config} (the real tree's entry points, ownership

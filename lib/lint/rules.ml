@@ -245,7 +245,7 @@ type allow = {
 type resource = {
   res_name : string;
   res_write_idents : (string * string) list;
-      (* (module-anywhere-in-path, function) pairs, matched like R7 *)
+      (* (module-anywhere-in-path, function) pairs *)
   res_fields : string list;  (* mutable record fields whose [<-] is a write *)
   res_owners : string list;  (* rel prefixes ("wal/") or exact files *)
 }
@@ -347,7 +347,7 @@ let default_config =
         };
         {
           a_rel = "recovery/restorer.ml";
-          a_binding = "recover_partition";
+          a_binding = "ensure_partition";
           a_ident = "Sim.now";
           a_why = "restore-latency measurement on the simulated clock; obs only";
         };
@@ -383,7 +383,7 @@ let default_config =
     r8_random_ok = [ "exec/executor.ml"; "util/rng.ml" ];
     (* R9: the shared-mutable-state registry.  Every write site must
        either live in the owning module or be reachable only through it
-       (checked on the call graph, not per-file paths like R7). *)
+       (checked on the call graph, not per-file paths). *)
     r9_resources =
       [
         {
@@ -490,15 +490,3 @@ let default_config =
         };
       ];
   }
-
-(* -- R7: SLB region ownership ------------------------------------------------ *)
-
-(* Each striped SLB region belongs to one executor; every append must funnel
-   through the per-executor redo sink in core/db_system.ml (which routes a
-   transaction's records to its executor's region) or stay inside the WAL
-   component that defines the regions.  Confined call sites keep the
-   region-ownership invariant auditable: no other layer can interleave
-   records into a region it does not own. *)
-let slb_append_allowed rel =
-  (String.length rel >= 4 && String.sub rel 0 4 = "wal/")
-  || rel = "core/db_system.ml"

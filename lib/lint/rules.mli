@@ -19,10 +19,9 @@
       [print_endline] / [print_newline] are banned under [lib/] outside
       [lib/obs/] and [util/texttab.ml] — library code renders through
       [Mrdb_obs.Export] or [Mrdb_util.Texttab]; only binaries print.
-    - {b R7 SLB region ownership}: [Slb.Region.append] call sites are
-      confined to [core/db_system.ml] (the per-executor redo sink) and
-      [lib/wal/] — each striped region is appended only by its owning
-      executor's logging path.
+    - R7 (SLB region ownership) is retired: R9's "striped SLB regions"
+      resource confines [Slb.Region.append] to the same owners
+      ([lib/wal/] and [core/db_system.ml], the per-executor redo sink).
 
     Interprocedural rules (run on the whole-program call graph built by
     {!Index} + {!Callgraph}, configured by {!type:config}):
@@ -82,11 +81,6 @@ val print_allowed : string -> bool
 (** [print_allowed rel] — [rel] relative to [lib/]: the [obs/] renderers
     and [util/texttab.ml]. *)
 
-val slb_append_allowed : string -> bool
-(** [slb_append_allowed rel] — [rel] relative to [lib/]: the WAL component
-    itself and [core/db_system.ml], the per-executor redo sink that routes
-    each transaction's records to its executor's SLB region. *)
-
 (** {2 Interprocedural configuration (R8-R11)} *)
 
 type nondet = Clock | Random_src | Poly_hash | Unordered_iter
@@ -107,7 +101,8 @@ type allow = {
 type resource = {
   res_name : string;
   res_write_idents : (string * string) list;
-      (** (module-anywhere-in-path, function) write calls, matched like R7 *)
+      (** (module, function) write calls: the module anywhere in the
+          reference path, the function right after it *)
   res_fields : string list;
       (** mutable record fields whose [<-] counts as a write *)
   res_owners : string list;

@@ -9,7 +9,7 @@
     {v
     { "schema": "mrdb-obs/3",
       "now_us": <float>,                     // simulated clock at snapshot
-      "counters": { "<name>": <int>, ... },  // registry + attached Trace
+      "counters": { "<name>": <int>, ... },  // the attached Trace
       "gauges": { "<name>": <int>, ... },
       "histograms": {
         "<name>": { "unit": "<ns|records|...>", "count": <int>,

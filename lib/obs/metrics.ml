@@ -17,7 +17,6 @@ type histogram = {
 }
 
 type t = {
-  counters : (string, int ref) Hashtbl.t;
   gauges : (string, unit -> int) Hashtbl.t;
   histos : (string, histogram) Hashtbl.t;
   mutable trace : Mrdb_sim.Trace.t option;
@@ -25,33 +24,12 @@ type t = {
 
 let create () =
   {
-    counters = Hashtbl.create 16;
     gauges = Hashtbl.create 8;
     histos = Hashtbl.create 8;
     trace = None;
   }
 
-(* -- counters / gauges ------------------------------------------------------ *)
-
-(* [find]-with-exception instead of [find_opt]: these run on hot paths
-   (Slb.Region.append instrumentation, per-commit observations) where the
-   [Some] wrapper is a per-call allocation. *)
-let counter_ref t name =
-  match Hashtbl.find t.counters name with
-  | r -> r
-  | exception Not_found ->
-      let r = ref 0 in
-      Hashtbl.add t.counters name r;
-      r
-
-let incr t name = Stdlib.incr (counter_ref t name)
-
-let add t name n =
-  let r = counter_ref t name in
-  r := !r + n
-
-let count t name =
-  match Hashtbl.find t.counters name with r -> !r | exception Not_found -> 0
+(* -- gauges ----------------------------------------------------------------- *)
 
 let gauge t name f = Hashtbl.replace t.gauges name f
 
@@ -138,16 +116,7 @@ let h_clear h =
 let attach_trace t trace = t.trace <- Some trace
 
 let counters t =
-  let own = Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters [] in
-  let traced =
-    match t.trace with
-    | None -> []
-    | Some tr ->
-        List.filter
-          (fun (name, _) -> not (Hashtbl.mem t.counters name))
-          (Mrdb_sim.Trace.counters tr)
-  in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) (own @ traced)
+  match t.trace with None -> [] | Some tr -> Mrdb_sim.Trace.counters tr
 
 let gauges t =
   Hashtbl.fold (fun name f acc -> (name, f ()) :: acc) t.gauges []

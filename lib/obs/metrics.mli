@@ -1,13 +1,13 @@
-(** Metrics registry: named counters, gauges, and allocation-free
-    log2-bucketed latency histograms.
+(** Metrics registry: gauges and allocation-free log2-bucketed latency
+    histograms, plus the counters of an attached {!Mrdb_sim.Trace}.
 
-    Unlike {!Mrdb_sim.Trace} — whose counters feed the determinism golden
-    and whose timing series retain every sample — this registry is the
+    Counters live only in the [Trace] — they feed the determinism golden,
+    and its timing series retain every sample.  This registry is the
     {e observability} surface: recording is a handful of array stores (no
     allocation, no simulated time), so instrumentation can stay enabled in
-    the torture campaign and on the logging hot path.  An attached [Trace]
-    is enumerated through the same registry, so one {!Export} snapshot
-    covers both worlds.
+    the torture campaign and on the logging hot path.  The attached
+    [Trace] is enumerated through the same registry, so one {!Export}
+    snapshot covers both worlds.
 
     Histograms bucket by the value's binary order of magnitude with four
     linear sub-buckets per octave (HDR-style log-linear), giving quantile
@@ -22,13 +22,7 @@ type histogram
 
 val create : unit -> t
 
-(** {2 Counters and gauges} *)
-
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
-
-val count : t -> string -> int
-(** 0 for a counter never bumped. *)
+(** {2 Gauges} *)
 
 val gauge : t -> string -> (unit -> int) -> unit
 (** Register (or replace) a gauge callback, sampled at snapshot time. *)
@@ -64,12 +58,11 @@ val h_clear : histogram -> unit
 
 val attach_trace : t -> Mrdb_sim.Trace.t -> unit
 (** Make the trace's counters (and timing series) part of this registry's
-    snapshot: {!counters} merges them in, name-sorted. *)
+    snapshot. *)
 
 val counters : t -> (string * int) list
-(** Registry counters merged with any attached trace's counters, sorted
-    by name.  (Names are expected to be disjoint; on a clash the registry
-    value wins.) *)
+(** The attached trace's counters, sorted by name (empty when none is
+    attached). *)
 
 val gauges : t -> (string * int) list
 (** Sampled gauge values, sorted by name. *)

@@ -50,7 +50,7 @@ let update_wellknown ~layout ~cat =
   in
   Wellknown.store layout entries
 
-let on_checkpoint_request ~trace ~ckpt_q ?recorder (part : Addr.partition) trig =
+let on_checkpoint_request ~trace ~ckpt_q ~recorder (part : Addr.partition) trig =
   let reason =
     match trig with
     | Slt.Update_count ->
@@ -60,11 +60,8 @@ let on_checkpoint_request ~trace ~ckpt_q ?recorder (part : Addr.partition) trig 
         Trace.incr trace "ckpt_req_age";
         Ckpt_queue.Age
   in
-  (match recorder with
-  | None -> ()
-  | Some fr ->
-      Mrdb_obs.Flight_recorder.ckpt_trigger fr ~segment:part.Addr.segment
-        ~partition:part.Addr.partition ~by_age:(trig = Slt.Age));
+  Mrdb_obs.Flight_recorder.ckpt_trigger recorder ~segment:part.Addr.segment
+    ~partition:part.Addr.partition ~by_age:(trig = Slt.Age);
   ignore (Ckpt_queue.request (ckpt_q ()) part reason)
 
 let all_partition_descs cat =

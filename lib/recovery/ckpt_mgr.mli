@@ -63,7 +63,7 @@ val update_wellknown : layout:Mrdb_wal.Stable_layout.t -> cat:Catalog.t -> unit
 val on_checkpoint_request :
   trace:Mrdb_sim.Trace.t ->
   ckpt_q:(unit -> Mrdb_ckpt.Ckpt_queue.t) ->
-  ?recorder:Mrdb_obs.Flight_recorder.t ->
+  recorder:Mrdb_obs.Flight_recorder.t ->
   Addr.partition ->
   Mrdb_wal.Slt.trigger ->
   unit

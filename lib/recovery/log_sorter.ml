@@ -43,15 +43,13 @@ let drain s =
   let pages = Log_disk.pages_written s.log_disk - pages0 in
   Trace.add s.env.Recovery_env.trace "sorter_records_streamed" !records;
   Trace.add s.env.Recovery_env.trace "sorter_bytes_streamed" !bytes;
-  (match s.env.Recovery_env.obs with
-  | Some obs when !records > 0 ->
-      Mrdb_obs.Metrics.observe
-        (Mrdb_obs.Obs.drain_batch obs)
-        !records;
-      Mrdb_obs.Flight_recorder.sorter_drain
-        (Mrdb_obs.Obs.recorder obs)
-        ~txns ~records:!records
-  | _ -> ());
+  if !records > 0 then begin
+    let obs = s.env.Recovery_env.obs in
+    Mrdb_obs.Metrics.observe (Mrdb_obs.Obs.drain_batch obs) !records;
+    Mrdb_obs.Flight_recorder.sorter_drain
+      (Mrdb_obs.Obs.recorder obs)
+      ~txns ~records:!records
+  end;
   let instructions =
     (record_sort_fixed_instr * !records)
     + int_of_float (copy_instr_per_byte *. float_of_int !bytes)

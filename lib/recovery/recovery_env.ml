@@ -7,16 +7,13 @@ type t = {
   ckpt_disk : unit -> Mrdb_hw.Disk.t;
   archiver : Mrdb_archive.Archive.t option;
   partition_bytes : int;
-  obs : Mrdb_obs.Obs.t option;
+  obs : Mrdb_obs.Obs.t;
 }
 
-let create ~sim ~trace ~ckpt_disk ~archiver ~partition_bytes ?obs () =
+let create ~sim ~trace ~ckpt_disk ~archiver ~partition_bytes ~obs =
   { sim; trace; ckpt_disk; archiver; partition_bytes; obs }
 
-let recorder env =
-  match env.obs with
-  | None -> None
-  | Some o -> Some (Mrdb_obs.Obs.recorder o)
+let recorder env = Mrdb_obs.Obs.recorder env.obs
 
 let pump_until env cond =
   while (not (cond ())) && Sim.step env.sim do () done;

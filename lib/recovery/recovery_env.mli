@@ -15,10 +15,9 @@ type t = {
           failure swaps in a blank replacement drive. *)
   archiver : Mrdb_archive.Archive.t option;
   partition_bytes : int;
-  obs : Mrdb_obs.Obs.t option;
+  obs : Mrdb_obs.Obs.t;
       (** Observability bundle (metrics registry, flight recorder, recovery
-          timeline).  [None] in minimal test harnesses; all recording is
-          skipped then. *)
+          timeline). *)
 }
 
 val create :
@@ -27,12 +26,11 @@ val create :
   ckpt_disk:(unit -> Mrdb_hw.Disk.t) ->
   archiver:Mrdb_archive.Archive.t option ->
   partition_bytes:int ->
-  ?obs:Mrdb_obs.Obs.t ->
-  unit ->
+  obs:Mrdb_obs.Obs.t ->
   t
 
-val recorder : t -> Mrdb_obs.Flight_recorder.t option
-(** The flight recorder from [obs], when present. *)
+val recorder : t -> Mrdb_obs.Flight_recorder.t
+(** The flight recorder from [obs]. *)
 
 val pump_until : t -> (unit -> bool) -> unit
 (** Advance the simulated clock until [cond ()] holds.

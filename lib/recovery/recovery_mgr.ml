@@ -42,33 +42,19 @@ let ckpt_mgr t = (comps t).ckpt
 let restart ~env ~layout ~log_disk ~n_update ~age_grace_pages ~ckpt_q =
   let trace = env.Recovery_env.trace in
   let recorder = Recovery_env.recorder env in
+  let timeline = Mrdb_obs.Obs.timeline env.Recovery_env.obs in
   (* Phase accounting: each restart step's simulated duration lands in the
      recovery {!Mrdb_obs.Timeline} (the on-demand and sweep phases accrue
      later, restore by restore). *)
   let timed phase f =
     let t0 = Mrdb_sim.Sim.now env.Recovery_env.sim in
-    (match env.Recovery_env.obs with
-    | None -> ()
-    | Some obs ->
-        Mrdb_obs.Flight_recorder.phase
-          (Mrdb_obs.Obs.recorder obs)
-          (Mrdb_obs.Timeline.phase_name phase));
+    Mrdb_obs.Flight_recorder.phase recorder (Mrdb_obs.Timeline.phase_name phase);
     let r = f () in
-    (match env.Recovery_env.obs with
-    | None -> ()
-    | Some obs ->
-        Mrdb_obs.Timeline.add
-          (Mrdb_obs.Obs.timeline obs)
-          phase
-          ~dur_us:(Mrdb_sim.Sim.now env.Recovery_env.sim -. t0));
+    Mrdb_obs.Timeline.add timeline phase
+      ~dur_us:(Mrdb_sim.Sim.now env.Recovery_env.sim -. t0);
     r
   in
-  (match env.Recovery_env.obs with
-  | None -> ()
-  | Some obs ->
-      Mrdb_obs.Timeline.reset
-        (Mrdb_obs.Obs.timeline obs)
-        ~now_us:(Mrdb_sim.Sim.now env.Recovery_env.sim));
+  Mrdb_obs.Timeline.reset timeline ~now_us:(Mrdb_sim.Sim.now env.Recovery_env.sim);
   let slb, slt =
     timed Mrdb_obs.Timeline.Slt_scan (fun () ->
         let slb = Slb.recover layout in
@@ -76,11 +62,11 @@ let restart ~env ~layout ~log_disk ~n_update ~age_grace_pages ~ckpt_q =
           Slt.recover ~layout ~log_disk ~n_update ?age_grace_pages
             ~on_checkpoint_request:
               (Ckpt_mgr.on_checkpoint_request ~trace ~ckpt_q:(fun () -> ckpt_q)
-                 ?recorder)
+                 ~recorder)
             ()
         in
-        Slb.set_recorder slb recorder;
-        Slt.set_recorder slt recorder;
+        Slb.set_recorder slb (Some recorder);
+        Slt.set_recorder slt (Some recorder);
         (* Sort any committed-but-undrained records into bins. *)
         Log_sorter.sort_backlog ~slb ~slt;
         (slb, slt))

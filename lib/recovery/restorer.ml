@@ -139,10 +139,41 @@ let replay_relation cat ~(part : Addr.partition) ~partition_bytes partition reco
           (Relation.create ~id:desc.Catalog.rel_id ~name:desc.Catalog.rel_name
              ~schema:desc.Catalog.schema ~segment:seg)
 
-(* Restore one partition: checkpoint image and log stream are fetched in
-   parallel (different disks), then records with seq > watermark are
-   applied in original order. *)
-let recover_partition r part k =
+(* The restore kernel shared by catalogued partitions and the catalog
+   bootstrap: the checkpoint image and the log stream are fetched in
+   parallel (different disks), the clock is pumped until both land, and
+   the base is the image — or an empty partition when [part] was never
+   checkpointed.  Returns the base, its watermark and the recovered
+   records; the caller replays them with its own [apply_records]
+   options. *)
+let fetch_base env slt ~(part : Addr.partition) ~first_page ~pages =
+  let image = ref None and image_done = ref false in
+  let records = ref [] and records_done = ref false in
+  read_ckpt_image env ~part ~first_page ~pages (fun img ->
+      image := img;
+      image_done := true);
+  Slt.records_for_recovery slt part (fun result ->
+      (match result with
+      | Ok rs -> records := rs
+      | Error e -> Mrdb_util.Fatal.invariant ~mod_:"Restorer" ("log recovery failed: " ^ e));
+      records_done := true);
+  Recovery_env.pump_until env (fun () -> !image_done && !records_done);
+  let partition, watermark =
+    match !image with
+    | Some img ->
+        if not (Addr.equal_partition img.Ckpt_image.part part) then
+          Mrdb_util.Fatal.invariant ~mod_:"Restorer" "checkpoint image for wrong partition";
+        (Partition.of_snapshot img.Ckpt_image.snapshot, img.Ckpt_image.watermark)
+    | None ->
+        ( Partition.create ~size:env.Recovery_env.partition_bytes
+            ~segment:part.Addr.segment ~partition:part.Addr.partition,
+          0 )
+  in
+  (partition, watermark, !records)
+
+(* Restore one catalogued partition through the kernel, then install it
+   and mark it resident. *)
+let ensure_partition r part =
   let env = r.env in
   let desc =
     match Catalog.partition_desc r.cat part with
@@ -151,65 +182,40 @@ let recover_partition r part k =
         Mrdb_util.Fatal.invariant ~mod_:"Restorer"
           (Format.asprintf "partition %a not catalogued" Addr.pp_partition part)
   in
-  if desc.Catalog.resident then k ()
-  else begin
+  if not desc.Catalog.resident then begin
     let t0 = Mrdb_sim.Sim.now env.Recovery_env.sim in
-    let image = ref None and image_done = ref false in
-    let records = ref [] and records_done = ref false in
-    read_ckpt_image env ~part ~first_page:desc.Catalog.ckpt_page
-      ~pages:desc.Catalog.ckpt_page_count (fun img ->
-        image := img;
-        image_done := true);
-    Slt.records_for_recovery r.slt part (fun result ->
-        (match result with
-        | Ok rs -> records := rs
-        | Error e -> Mrdb_util.Fatal.invariant ~mod_:"Restorer" ("log recovery failed: " ^ e));
-        records_done := true);
-    Recovery_env.pump_until env (fun () -> !image_done && !records_done);
-    let partition, watermark =
-      match !image with
-      | Some img ->
-          if not (Addr.equal_partition img.Ckpt_image.part part) then
-            Mrdb_util.Fatal.invariant ~mod_:"Restorer" "checkpoint image for wrong partition";
-          (Partition.of_snapshot img.Ckpt_image.snapshot, img.Ckpt_image.watermark)
-      | None ->
-          ( Partition.create ~size:env.Recovery_env.partition_bytes
-              ~segment:part.Addr.segment ~partition:part.Addr.partition,
-            0 )
+    let partition, watermark, records =
+      fetch_base env r.slt ~part ~first_page:desc.Catalog.ckpt_page
+        ~pages:desc.Catalog.ckpt_page_count
     in
     let rel =
       replay_relation r.cat ~part
-        ~partition_bytes:env.Recovery_env.partition_bytes partition !records
+        ~partition_bytes:env.Recovery_env.partition_bytes partition records
     in
     let max_seq =
       apply_records ~partition ?rel ~watermark
         ~on_applied:(fun () ->
           Trace.incr env.Recovery_env.trace "recovery_records_applied")
-        !records
+        records
     in
     Segment.install (segment_of r part.Addr.segment) partition;
     Addr.Partition_table.replace r.seq part max_seq;
     Catalog.set_resident r.cat part true;
     Trace.incr env.Recovery_env.trace "partitions_recovered";
     Trace.incr env.Recovery_env.trace "restorer_partitions_restored";
-    (match env.Recovery_env.obs with
-    | None -> ()
-    | Some obs ->
-        let dur_us = Mrdb_sim.Sim.now env.Recovery_env.sim -. t0 in
-        Mrdb_obs.Metrics.observe_us (Mrdb_obs.Obs.restore_latency obs) dur_us;
-        Mrdb_obs.Timeline.add
-          (Mrdb_obs.Obs.timeline obs)
-          (if r.sweeping then Mrdb_obs.Timeline.Background_sweep
-           else Mrdb_obs.Timeline.On_demand_restore)
-          ~dur_us;
-        Mrdb_obs.Flight_recorder.partition_restored
-          (Mrdb_obs.Obs.recorder obs)
-          ~segment:part.Addr.segment ~partition:part.Addr.partition
-          ~records:(List.length !records));
-    k ()
+    let obs = env.Recovery_env.obs in
+    let dur_us = Mrdb_sim.Sim.now env.Recovery_env.sim -. t0 in
+    Mrdb_obs.Metrics.observe_us (Mrdb_obs.Obs.restore_latency obs) dur_us;
+    Mrdb_obs.Timeline.add
+      (Mrdb_obs.Obs.timeline obs)
+      (if r.sweeping then Mrdb_obs.Timeline.Background_sweep
+       else Mrdb_obs.Timeline.On_demand_restore)
+      ~dur_us;
+    Mrdb_obs.Flight_recorder.partition_restored
+      (Mrdb_obs.Obs.recorder obs)
+      ~segment:part.Addr.segment ~partition:part.Addr.partition
+      ~records:(List.length records)
   end
-
-let ensure_partition r part = recover_partition r part (fun () -> ())
 
 let partitions_of_segment r seg_id =
   let cat_partitions rel =
@@ -292,29 +298,11 @@ let restore_catalog env ~slt ~entries =
   let catalog_seq = ref [] in
   List.iter
     (fun (e : Wellknown.entry) ->
-      (* Per-partition restore (catalog partitions only): image ∥ log. *)
-      let image = ref None and image_done = ref false in
-      read_ckpt_image env ~part:e.Wellknown.part ~first_page:e.Wellknown.ckpt_page
-        ~pages:e.Wellknown.pages (fun img ->
-          image := img;
-          image_done := true);
-      let records = ref [] and records_done = ref false in
-      Slt.records_for_recovery slt e.Wellknown.part (fun result ->
-          (match result with
-          | Ok rs -> records := rs
-          | Error msg -> Mrdb_util.Fatal.invariant ~mod_:"Restorer" ("catalog log: " ^ msg));
-          records_done := true);
-      Recovery_env.pump_until env (fun () -> !image_done && !records_done);
-      let partition, watermark =
-        match !image with
-        | Some img -> (Partition.of_snapshot img.Ckpt_image.snapshot, img.Ckpt_image.watermark)
-        | None ->
-            ( Partition.create ~size:env.Recovery_env.partition_bytes
-                ~segment:Catalog.catalog_segment_id
-                ~partition:e.Wellknown.part.Addr.partition,
-              0 )
+      let partition, watermark, records =
+        fetch_base env slt ~part:e.Wellknown.part ~first_page:e.Wellknown.ckpt_page
+          ~pages:e.Wellknown.pages
       in
-      let max_seq = apply_records ~partition ~watermark !records in
+      let max_seq = apply_records ~partition ~watermark records in
       catalog_seq := (e.Wellknown.part, max_seq) :: !catalog_seq;
       Segment.install cat_segment partition)
     entries;

@@ -49,8 +49,9 @@ val ensure_partition : t -> Addr.partition -> unit
 (** Restore the partition if it is not memory-resident: checkpoint image
     and log stream are fetched in parallel (different disks), records with
     [seq > watermark] replayed in original order.
-    @raise Mrdb_util.Fatal.Invariant when the partition is not catalogued
-    or its durable state is unreadable and unarchived. *)
+    @raise Mrdb_util.Fatal.Invariant when the partition is not catalogued,
+    its durable state is unreadable and unarchived, or its checkpoint
+    image belongs to another partition. *)
 
 val ensure_segment : t -> int -> unit
 (** Restore every catalogued partition of a segment. *)
@@ -69,27 +70,18 @@ val background_step : t -> bool
 val sweep : t -> unit
 (** Drain the background sweep. *)
 
-val read_ckpt_image :
-  Recovery_env.t ->
-  part:Addr.partition ->
-  first_page:int ->
-  pages:int ->
-  (Mrdb_ckpt.Ckpt_image.t option -> unit) ->
-  unit
-(** Asynchronously read [part]'s checkpoint image from checkpoint-disk
-    pages [first_page .. first_page+pages), with one retry, falling back
-    to the newest archived copy when the checkpoint disk cannot produce a
-    valid one.  [None] when [first_page < 0]: never checkpointed.  The one
-    image-read path for catalogued partitions and the catalog bootstrap. *)
-
 val restore_catalog :
   Recovery_env.t ->
   slt:Mrdb_wal.Slt.t ->
   entries:Wellknown.entry list ->
   Segment.t * (Addr.partition * int) list
 (** Restart-time bootstrap: restore each catalog partition named by the
-    well-known area into a fresh catalog segment.  Returns the segment and
-    each partition's recovered sequence watermark. *)
+    well-known area into a fresh catalog segment, through the same
+    image ∥ log kernel as {!ensure_partition}.  Returns the segment and
+    each partition's recovered sequence watermark.
+    @raise Mrdb_util.Fatal.Invariant when an entry's durable state is
+    unreadable and unarchived, or its checkpoint image belongs to another
+    partition. *)
 
 val drop_uncatalogued_bins : slt:Mrdb_wal.Slt.t -> cat:Catalog.t -> unit
 (** Orphan bins: a crash between a [drop_relation]'s catalog commit and

@@ -226,7 +226,7 @@ let maybe_ship t =
 (* -- node lifecycle ----------------------------------------------------------- *)
 
 let crash_primary t = Db.crash t.primary
-let recover_primary ?mode t = Db.recover ?mode t.primary
+let recover_primary t = Db.recover t.primary
 
 let crash_standby t =
   t.standby_up <- false;
@@ -239,13 +239,13 @@ let resume_standby t =
     Ship_channel.attach t.fwd (fun data -> on_standby_frame t data)
   end
 
-let warm_standby ?mode t =
-  if t.standby_up && Db.is_crashed t.standby then Db.recover ?mode t.standby
+let warm_standby t =
+  if t.standby_up && Db.is_crashed t.standby then Db.recover t.standby
 
-let promote ?mode t =
+let promote t =
   (* The standby stops consuming the stream the instant it starts its new
      life; a frame already in flight is dropped by the detached channel. *)
   Ship_channel.detach t.fwd;
   t.standby_up <- false;
-  Db.promote ?mode t.standby;
+  Db.promote t.standby;
   t.standby

@@ -53,7 +53,8 @@ val lag_records : t -> int
 (** {2 Node lifecycle (harness hooks for {!Mrdb_fault} node events)} *)
 
 val crash_primary : t -> unit
-val recover_primary : ?mode:Mrdb_core.Config.recovery_mode -> t -> unit
+val recover_primary : t -> unit
+(** {!Mrdb_core.Db.recover} the primary. *)
 
 val crash_standby : t -> unit
 (** The standby node goes down: receiver detached (frames arriving now
@@ -64,17 +65,17 @@ val resume_standby : t -> unit
 (** The standby node restarts cold and reattaches; the next cut resends
     everything past the frozen cursor. *)
 
-val warm_standby : ?mode:Mrdb_core.Config.recovery_mode -> t -> unit
+val warm_standby : t -> unit
 (** Local recovery on a live cold standby (role unchanged): proves the
     shipped artifacts restore and leaves the node warm — a subsequent
     batch drops it cold again (the installs invalidate the volatile
     view). *)
 
-val promote : ?mode:Mrdb_core.Config.recovery_mode -> t -> Mrdb_core.Db.t
+val promote : t -> Mrdb_core.Db.t
 (** Failover: detach the standby from the stream and
     {!Mrdb_core.Db.promote} it.  Returns the new primary, possibly still
-    mid-restore in [On_demand] mode — it serves transactions while the
-    background sweep finishes. *)
+    mid-restore — it serves transactions, restoring partitions on demand,
+    while the background sweep finishes. *)
 
 (** {2 Introspection} *)
 

@@ -169,8 +169,8 @@ let catchup ~seed () =
   { r with prefix_ok = r.prefix_ok && r.prefix_len = r.committed && lag = 0 }
 
 (* (b) Primary-crash-then-failover: the primary dies with committed work
-   past the last cut; the standby is promoted in On_demand mode and
-   serves new transactions while its restore is still in flight.  The
+   past the last cut; the standby is promoted and serves new
+   transactions while its restore is still in flight.  The
    promoted state must be a commit-order prefix of the old primary's
    history, extended by the post-failover work. *)
 let failover ~seed () =
@@ -192,7 +192,7 @@ let failover ~seed () =
   done;
   let lag = Replica.lag_records cl in
   Replica.crash_primary cl;
-  let np = Replica.promote ~mode:Mrdb_core.Config.On_demand cl in
+  let np = Replica.promote cl in
   (* Mid-restore service: transactions run before the sweep finishes;
      on-demand restores pull partitions in as they are touched. *)
   let wp = { w with history = [] } in

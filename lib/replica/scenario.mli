@@ -29,8 +29,8 @@ val catchup : seed:int -> unit -> report
 
 val failover : seed:int -> unit -> report
 (** Primary-crash-then-failover: the primary dies holding committed work
-    past the last cut; the standby is promoted [On_demand] and serves
-    transactions mid-restore.  Accepts iff the promoted state is a
+    past the last cut; the standby is promoted and serves transactions
+    mid-restore, restoring partitions on demand.  Accepts iff the promoted state is a
     commit-order prefix of the old history (plus the post-failover work)
     no shorter than the last acked cut. *)
 

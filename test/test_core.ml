@@ -248,12 +248,15 @@ let test_repeated_crashes () =
   done;
   check int_t "10 + 4 rounds" 14 (Db.cardinality db ~rel:"accounts")
 
-let test_full_reload_mode () =
+let test_full_reload_baseline () =
+  (* The database-level baseline is the one restart path followed by the
+     whole background sweep, before any transaction runs. *)
   let db = mk_bank () in
   insert_accounts db 20;
   let before = balances db in
   Db.crash db;
-  Db.recover ~mode:Config.Full_reload db;
+  Db.recover db;
+  Db.recover_everything db;
   check (Alcotest.float 0.001) "fully resident" 1.0 (Db.resident_fraction db);
   check bool_t "data equal" true (balances db = before)
 
@@ -381,13 +384,31 @@ let test_sweep_with_relation_created_after_restart () =
     (List.for_all (fun p -> not (List.mem p d_parts)) order);
   check int_t "d intact" 150 (Db.cardinality db ~rel:"d")
 
-let test_predeclare_mode () =
+let test_declared_relations_restore_first () =
+  (* §2.5 method 1 is a per-transaction choice on the one restart path:
+     declaring "accounts" restores all of its partitions before the
+     transaction's first operation, and leaves an undeclared relation on
+     disk. *)
   let db = mk_bank () in
+  Db.create_relation db ~name:"other" ~schema:account_schema;
+  Db.with_txn db (fun tx -> ignore (Db.insert db tx ~rel:"other" (account 1)));
   insert_accounts db 10;
   let before = balances db in
   Db.crash db;
-  Db.recover ~mode:Config.Predeclare db;
+  Db.recover db;
+  let resident part = Db.partition_snapshot db part <> None in
+  check bool_t "accounts on disk after the restart" true
+    (List.for_all
+       (fun part -> not (resident part))
+       (Db.relation_partitions db ~rel:"accounts"));
   let tx = Db.begin_txn ~declare:[ "accounts" ] db in
+  check bool_t "every accounts partition resident before the first operation"
+    true
+    (List.for_all resident (Db.relation_partitions db ~rel:"accounts"));
+  check bool_t "the undeclared relation stays on disk" true
+    (List.for_all
+       (fun part -> not (resident part))
+       (Db.relation_partitions db ~rel:"other"));
   let hits = Db.lookup db tx ~rel:"accounts" ~index:"accounts_id" (Schema.int 4) in
   Db.commit db tx;
   check int_t "declared relation usable" 1 (List.length hits);
@@ -595,7 +616,7 @@ let () =
           Alcotest.test_case "idempotent after ckpt crash" `Quick
             test_recovery_idempotent_replay_after_ckpt_crash;
           Alcotest.test_case "repeated crashes" `Quick test_repeated_crashes;
-          Alcotest.test_case "full reload mode" `Quick test_full_reload_mode;
+          Alcotest.test_case "full reload baseline" `Quick test_full_reload_baseline;
           Alcotest.test_case "on-demand partial residency" `Quick test_on_demand_partial_residency;
           Alcotest.test_case "background steps" `Quick test_background_recovery_steps;
           Alcotest.test_case "sweep in address order" `Quick test_sweep_ascending_order;
@@ -604,7 +625,8 @@ let () =
           Alcotest.test_case "sweep after drop_relation" `Quick test_sweep_after_drop_relation;
           Alcotest.test_case "sweep with relation created after restart" `Quick
             test_sweep_with_relation_created_after_restart;
-          Alcotest.test_case "predeclare mode" `Quick test_predeclare_mode;
+          Alcotest.test_case "declared relations restore first" `Quick
+            test_declared_relations_restore_first;
           Alcotest.test_case "DDL survives crash" `Quick test_ddl_survives_crash;
           Alcotest.test_case "recover, work, crash again" `Quick
             test_work_after_recovery_then_crash_again;

@@ -1,8 +1,8 @@
 (* Golden tests for mrdb_lint: a fixture corpus seeds exactly one violation
    per rule — the per-file rules (R1 wild write, R2 layering, R3 partiality,
-   R4 unsealed, R5 fault injection, R6 bare printing, R7 rogue SLB append)
-   plus the interprocedural rules (R8 determinism, R9 ownership, R10
-   structured raises, R11 stale allowlist), whose violations are only
+   R4 unsealed, R5 fault injection, R6 bare printing) plus the
+   interprocedural rules (R8 determinism, R9 ownership, R10 structured
+   raises, R11 stale allowlist), whose violations are only
    visible through the cross-module call graph.  Each rule must fire at
    the expected file:line — and nowhere else: the negative cases
    (unreachable clock read, sorted Hashtbl fold, owner-routed write,
@@ -74,7 +74,6 @@ let expected =
   [
     ("R10", "lint_fixtures/core/driver.ml", 10);
     ("R5", "lint_fixtures/core/inject.ml", 4);
-    ("R7", "lint_fixtures/core/rogue_append.ml", 4);
     ("R9", "lint_fixtures/core/rogue_replay.ml", 5);
     ("R1", "lint_fixtures/core/wild_write.ml", 4);
     ("R10", "lint_fixtures/recovery/sloppy.ml", 3);
@@ -314,15 +313,27 @@ let test_print_discipline_allowlist () =
   check bool_t "formatter-taking printers stay legal" true
     (Rules.print_ident [ "Format"; "pp_print_string" ] = None)
 
+(* SLB-region ownership is an R9 resource: appends are confined to the
+   WAL and the per-executor redo sink, checked on the call graph. *)
 let test_slb_ownership_allowlist () =
-  check bool_t "the WAL may append to its own regions" true
-    (Rules.slb_append_allowed "wal/slb.ml");
-  check bool_t "the per-executor redo sink may append" true
-    (Rules.slb_append_allowed "core/db_system.ml");
-  check bool_t "the facade must route through the sink" false
-    (Rules.slb_append_allowed "core/db.ml");
-  check bool_t "recovery drains, never appends" false
-    (Rules.slb_append_allowed "recovery/log_sorter.ml")
+  match
+    List.find_opt
+      (fun r -> r.Rules.res_name = "striped SLB regions")
+      Rules.default_config.Rules.r9_resources
+  with
+  | None -> Alcotest.fail "striped SLB regions not registered for R9"
+  | Some r ->
+      check bool_t "Region.append is a registered write" true
+        (Rules.write_ident_call r [ "Mrdb_wal"; "Slb"; "Region"; "append" ]
+        <> None);
+      check bool_t "the WAL may append to its own regions" true
+        (Rules.owner_matches r.Rules.res_owners "wal/slb.ml");
+      check bool_t "the per-executor redo sink may append" true
+        (Rules.owner_matches r.Rules.res_owners "core/db_system.ml");
+      check bool_t "the facade must route through the sink" false
+        (Rules.owner_matches r.Rules.res_owners "core/db.ml");
+      check bool_t "recovery drains, never appends" false
+        (Rules.owner_matches r.Rules.res_owners "recovery/log_sorter.ml")
 
 let test_fault_containment_allowlist () =
   check bool_t "lib/fault may inject" true (Rules.fault_injection_allowed "fault/injector.ml");

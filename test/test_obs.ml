@@ -14,17 +14,20 @@ let int_t = Alcotest.int
 
 (* -- Metrics: counters and gauges ----------------------------------------- *)
 
+(* Counters live in the attached trace; the registry enumerates them. *)
 let test_counters () =
   let m = Metrics.create () in
-  check int_t "unbumped counter is 0" 0 (Metrics.count m "commits");
-  Metrics.incr m "commits";
-  Metrics.incr m "commits";
-  Metrics.add m "records" 40;
-  check int_t "incr" 2 (Metrics.count m "commits");
-  check int_t "add" 40 (Metrics.count m "records");
-  let names = List.map fst (Metrics.counters m) in
-  check (Alcotest.list Alcotest.string) "name-sorted" [ "commits"; "records" ]
-    names
+  check int_t "no trace, no counters" 0 (List.length (Metrics.counters m));
+  let tr = Mrdb_sim.Trace.create () in
+  Metrics.attach_trace m tr;
+  Mrdb_sim.Trace.add tr "records" 40;
+  Mrdb_sim.Trace.incr tr "commits";
+  Mrdb_sim.Trace.incr tr "commits";
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string int_t))
+    "the trace's counters, name-sorted"
+    [ ("commits", 2); ("records", 40) ]
+    (Metrics.counters m)
 
 let test_gauges () =
   let m = Metrics.create () in
@@ -234,7 +237,9 @@ let mk_obs () =
 
 let test_export_json_shape () =
   let obs = mk_obs () in
-  Metrics.incr (Obs.metrics obs) "commits";
+  let tr = Mrdb_sim.Trace.create () in
+  Metrics.attach_trace (Obs.metrics obs) tr;
+  Mrdb_sim.Trace.incr tr "commits";
   Metrics.observe_us (Obs.txn_latency obs) 120.0;
   Metrics.observe_us (Obs.restore_latency obs) 800.0;
   Metrics.observe (Obs.drain_batch obs) 7;

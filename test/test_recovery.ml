@@ -220,7 +220,8 @@ let test_ensure_partition_uncatalogued_is_fatal () =
   in
   let env =
     Mrdb_recovery.Recovery_env.create ~sim ~trace ~ckpt_disk:(fun () -> ckpt)
-      ~archiver:None ~partition_bytes:512 ()
+      ~archiver:None ~partition_bytes:512
+      ~obs:(Mrdb_obs.Obs.create ~now:(fun () -> Mrdb_sim.Sim.now sim) ())
   in
   let cat =
     Mrdb_storage.Catalog.create ~partition_bytes:512
@@ -238,6 +239,39 @@ let test_ensure_partition_uncatalogued_is_fatal () =
   | exception Mrdb_util.Fatal.Invariant { mod_; what } ->
       check Alcotest.string "tagged with the reporting module" "Restorer" mod_;
       check Alcotest.string "names the partition" "partition 9.4 not catalogued"
+        what
+
+let test_catalog_image_for_wrong_partition_is_fatal () =
+  (* Catalog bootstrap and partition restore share one kernel, so a
+     well-known entry that points at another partition's checkpoint image
+     is refused exactly as a mis-catalogued data image is. *)
+  let db = mk_seam_db () in
+  Db.with_txn db (fun tx ->
+      for i = 1 to 20 do
+        ignore (Db.insert db tx ~rel:"t" [| Schema.int i |])
+      done);
+  let data_part = List.hd (Db.relation_partitions db ~rel:"t") in
+  Db.checkpoint_partition db data_part;
+  Db.quiesce db;
+  let first_page, pages =
+    match Db.checkpoint_location db data_part with
+    | Some loc -> loc
+    | None -> Alcotest.fail "data partition was not checkpointed"
+  in
+  Db.crash db;
+  let layout =
+    Mrdb_wal.Stable_layout.attach Config.small.Config.stable (Db.stable_mem db)
+  in
+  (match Mrdb_recovery.Wellknown.load layout with
+  | Some (e :: rest) ->
+      Mrdb_recovery.Wellknown.store layout
+        ({ e with Mrdb_recovery.Wellknown.ckpt_page = first_page; pages } :: rest)
+  | Some [] | None -> Alcotest.fail "no well-known catalog entries");
+  match Db.recover db with
+  | () -> Alcotest.fail "a catalog partition restored from a data image"
+  | exception Mrdb_util.Fatal.Invariant { mod_; what } ->
+      check Alcotest.string "tagged with the reporting module" "Restorer" mod_;
+      check Alcotest.string "names the mismatch" "checkpoint image for wrong partition"
         what
 
 (* -- analysis models -------------------------------------------------------- *)
@@ -401,6 +435,8 @@ let () =
           Alcotest.test_case "ckpt_deferred_lock_held" `Quick test_ckpt_deferred_counter;
           Alcotest.test_case "uncatalogued partition is a structured fatal" `Quick
             test_ensure_partition_uncatalogued_is_fatal;
+          Alcotest.test_case "wrong-partition catalog image fatal" `Quick
+            test_catalog_image_for_wrong_partition_is_fatal;
         ] );
       ( "log_model",
         [

@@ -168,7 +168,7 @@ let run_failover_golden () =
     put (Rng.int rng 24) i
   done;
   Replica.crash_primary cl;
-  let np = Replica.promote ~mode:Config.On_demand cl in
+  let np = Replica.promote cl in
   Db.with_txn np (fun tx ->
       ignore (Db.insert np tx ~rel:"t" [| Schema.int 1000; Schema.int 1000 |]));
   Db.recover_everything np;

@@ -668,7 +668,7 @@ let run_replica_seed seed =
            (Replica.lag_records cl))
   end;
   let lag = Replica.lag_records cl in
-  let np = Replica.promote ~mode:Config.On_demand cl in
+  let np = Replica.promote cl in
   incr total_promotions;
   if !standby_went_down && drain then incr total_catchups;
   (* Headline flow (b): serve transactions on the new primary while its
