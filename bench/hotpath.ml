@@ -25,7 +25,12 @@
      visible in BENCH.json;
    - crc32: Checksum.crc32 over a 48 KB checkpoint-image-sized buffer,
      one op per image, also reported as bytes/sec and ns/byte (CI holds
-     the kernel at or under 4 ns/byte).
+     the kernel at or under 4 ns/byte);
+   - partition_fill: Partition.insert of 27-byte entities (a debit/credit
+     history row) until a 48 KB partition is full, with the ns per insert
+     of the first and of the last tenth of the fill reported apart (CI
+     holds last/first at or under 2: slot placement must not slow down as
+     the slot directory grows).
 
    The codec sweep runs the debit_credit workload once per REDO codec
    (physical / logical) and reports, per codec, the log bytes
@@ -166,6 +171,47 @@ let bench_crc32 n =
   done;
   ignore !sink;
   (float_of_int n /. !elapsed, per_op alloc)
+
+let fill_partition_bytes = 48 * 1024
+let fill_entity_bytes = 27
+
+(* Fill [n] partitions side by side, in three timed windows: the first
+   tenth of every partition's inserts, the middle, the last tenth.  One
+   window spans all [n] partitions so it lasts long enough for the wall
+   clock.  Returns (inserts/sec over the whole fill, B/insert), the
+   number of inserts, and ns/insert in the first and in the last tenth. *)
+let bench_partition_fill n =
+  let module Partition = Mrdb_storage.Partition in
+  let entity = Bytes.make fill_entity_bytes 'h' in
+  let fresh () = Partition.create ~size:fill_partition_bytes ~segment:1 ~partition:0 in
+  let capacity =
+    let p = fresh () in
+    let k = ref 0 in
+    while Partition.insert p entity <> None do incr k done;
+    !k
+  in
+  let tenth = capacity / 10 in
+  let parts = Array.init n (fun _ -> fresh ()) in
+  let alloc = acc () in
+  let window count =
+    measure_window alloc ~ops:(n * count) (fun () ->
+        Array.iter
+          (fun p ->
+            for _ = 1 to count do
+              ignore (Partition.insert p entity)
+            done)
+          parts)
+  in
+  let first = window tenth in
+  let middle = window (capacity - (2 * tenth)) in
+  let last = window tenth in
+  if Array.exists (fun p -> Partition.insert p entity <> None) parts then
+    failwith "partition_fill: a partition had room left after the fill";
+  let ns_per_insert dt = dt *. 1e9 /. float_of_int (n * tenth) in
+  ( (float_of_int (n * capacity) /. (first +. middle +. last), per_op alloc),
+    n * capacity,
+    ns_per_insert first,
+    ns_per_insert last )
 
 let bench_txn n =
   let db = Mrdb_core.Db.create ~config:Mrdb_core.Config.default () in
@@ -322,6 +368,9 @@ let () =
         r.codec_name r.log_bytes_per_txn r.replay_records_per_sec
         r.cmd_record_share)
     codec_rows;
+  let fill_result, fill_inserts, fill_first_ns, fill_last_ns =
+    bench_partition_fill (max 20 (scale 200))
+  in
   let results =
     [
       ("append", bench_append (scale 200_000), scale 200_000);
@@ -331,6 +380,7 @@ let () =
       ("debit_credit", txn_result, scale 2_000);
       ("debit_credit_nexec", nexec_result, scale 2_000);
       ("crc32", bench_crc32 (scale 5_000), scale 5_000);
+      ("partition_fill", fill_result, fill_inserts);
     ]
   in
   let buf = Buffer.create 512 in
@@ -351,6 +401,11 @@ let () =
           Printf.sprintf
             ", \"image_bytes\": %d, \"bytes_per_sec\": %.0f, \"ns_per_byte\": %.3f"
             crc_image_bytes bytes_per_sec (1e9 /. bytes_per_sec)
+        else if name = "partition_fill" then
+          Printf.sprintf
+            ", \"partition_bytes\": %d, \"entity_bytes\": %d, \
+             \"first_tenth_ns\": %.1f, \"last_tenth_ns\": %.1f"
+            fill_partition_bytes fill_entity_bytes fill_first_ns fill_last_ns
         else ""
       in
       Buffer.add_string buf
@@ -367,6 +422,8 @@ let () =
   Buffer.add_string buf obs_json;
   Buffer.add_string buf "\n}\n";
   Printf.printf "debit_credit latency: p50=%dns p99=%dns\n" p50 p99;
+  Printf.printf "partition_fill: %.1f ns/insert first tenth, %.1f last tenth\n"
+    fill_first_ns fill_last_ns;
   let oc = open_out "BENCH.json" in
   output_string oc (Buffer.contents buf);
   close_out oc;

@@ -500,9 +500,7 @@ let attach_recovery t v =
     ~slb:v.slb ~slt:v.slt ~cat:v.cat ~seq:v.seq ~segments:v.segments
     ~txn_mgr:v.txn_mgr ~lock_mgr:v.lock_mgr ~disk_map:v.disk_map ~ckpt_q:v.ckpt_q
 
-let resident_fraction t =
-  ignore (vol t);
-  Restorer.resident_fraction (restorer (ctx t))
+let resident_fraction t = Catalog.resident_fraction (vol t).cat
 
 let background_recovery_step t =
   ignore (vol t);

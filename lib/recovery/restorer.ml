@@ -217,34 +217,19 @@ let ensure_partition r part =
       ~records:(List.length records)
   end
 
-let partitions_of_segment r seg_id =
-  let cat_partitions rel =
-    List.filter
-      (fun (d : Catalog.partition_desc) -> d.Catalog.part.Addr.segment = seg_id)
-      rel.Catalog.partitions
-  in
-  match Catalog.relation_of_segment r.cat seg_id with
-  | Some rel -> cat_partitions rel
-  | None -> []
-
+(* The forward path calls this before every write to an indexed relation;
+   once the segment is resident the catalog's count makes it one lookup. *)
 let ensure_segment r seg_id =
-  List.iter
-    (fun (d : Catalog.partition_desc) -> ensure_partition r d.Catalog.part)
-    (partitions_of_segment r seg_id)
+  if Catalog.non_resident_in_segment r.cat seg_id > 0 then
+    match Catalog.relation_of_segment r.cat seg_id with
+    | Some rel ->
+        List.iter
+          (fun (d : Catalog.partition_desc) ->
+            if d.Catalog.part.Addr.segment = seg_id then ensure_partition r d.Catalog.part)
+          rel.Catalog.partitions
+    | None -> ()
 
 (* -- the background sweep (§2.5) ------------------------------------------- *)
-
-let all_partition_descs r =
-  let acc = ref [] in
-  Catalog.iter_relations (fun rel -> acc := rel.Catalog.partitions @ !acc) r.cat;
-  !acc
-
-let resident_fraction r =
-  let descs = all_partition_descs r in
-  if descs = [] then 1.0
-  else
-    float_of_int (List.length (List.filter (fun d -> d.Catalog.resident) descs))
-    /. float_of_int (List.length descs)
 
 let non_resident_partitions r =
   Catalog.fold_relations

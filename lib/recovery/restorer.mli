@@ -54,12 +54,8 @@ val ensure_partition : t -> Addr.partition -> unit
     image belongs to another partition. *)
 
 val ensure_segment : t -> int -> unit
-(** Restore every catalogued partition of a segment. *)
-
-val partitions_of_segment : t -> int -> Catalog.partition_desc list
-
-val resident_fraction : t -> float
-(** Fraction of catalogued partitions currently memory-resident. *)
+(** Restore every catalogued partition of a segment.  O(1) when the
+    segment is already resident ({!Catalog.non_resident_in_segment}). *)
 
 val background_step : t -> bool
 (** Restore one more not-yet-resident partition (the paper's low-priority

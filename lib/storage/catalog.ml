@@ -24,6 +24,8 @@ type rel_desc = {
   mutable partitions : partition_desc list;
 }
 
+module Segment_table = Hashtbl.Make (Int)
+
 type t = {
   segment : Segment.t;
   by_name : (string, rel_desc) Hashtbl.t;
@@ -32,6 +34,11 @@ type t = {
   part_index : partition_desc Addr.Partition_table.t;
   self_addr : (int, Addr.t) Hashtbl.t;           (* rel_id -> entity addr *)
   part_addr : Addr.t Addr.Partition_table.t;     (* partition -> entity addr *)
+  non_resident : int Segment_table.t;
+      (* segment -> its non-resident descriptors; absent means 0.  Kept in
+         step with every [resident] flag, so "is this segment fully
+         resident?" costs one lookup. *)
+  mutable non_resident_total : int;
   mutable next_rel_id : int;
   mutable next_seg_id : int;
   mutable next_idx_id : int;
@@ -127,6 +134,17 @@ let index_rel t rel =
 
 let catalog_rel t = Hashtbl.find t.by_name catalog_rel_name
 
+let non_resident_in_segment t seg =
+  Option.value (Segment_table.find_opt t.non_resident seg) ~default:0
+
+(* Count [desc] in (+1) or out of (-1) its segment's non-resident total. *)
+let count_non_resident t desc delta =
+  let seg = desc.part.Addr.segment in
+  let n = non_resident_in_segment t seg + delta in
+  if n = 0 then Segment_table.remove t.non_resident seg
+  else Segment_table.replace t.non_resident seg n;
+  t.non_resident_total <- t.non_resident_total + delta
+
 (* Store an encoded entity at a tracked address (insert or update),
    logging the change; returns the (possibly new) address. *)
 let store_entity t ~log ~existing data =
@@ -208,6 +226,8 @@ let create ~partition_bytes ~log =
       part_index = Addr.Partition_table.create 64;
       self_addr = Hashtbl.create 16;
       part_addr = Addr.Partition_table.create 64;
+      non_resident = Segment_table.create 16;
+      non_resident_total = 0;
       next_rel_id = 1;
       next_seg_id = 1;
       next_idx_id = 1;
@@ -276,6 +296,7 @@ let drop_relation t ~log rel =
           delete_entity_logged t ~log addr;
           Addr.Partition_table.remove t.part_addr desc.part
       | None -> ());
+      if not desc.resident then count_non_resident t desc (-1);
       Addr.Partition_table.remove t.part_index desc.part)
     rel.partitions;
   (match Hashtbl.find_opt t.self_addr rel.rel_id with
@@ -312,7 +333,17 @@ let set_ckpt_location t ~log part ~page ~pages =
   desc.ckpt_page_count <- pages;
   store_part t ~log desc
 
-let set_resident t part resident = (part_desc_exn t part).resident <- resident
+let set_resident t part resident =
+  let desc = part_desc_exn t part in
+  if desc.resident <> resident then begin
+    desc.resident <- resident;
+    count_non_resident t desc (if resident then -1 else 1)
+  end
+
+let resident_fraction t =
+  let total = Addr.Partition_table.length t.part_index in
+  if total = 0 then 1.0
+  else float_of_int (total - t.non_resident_total) /. float_of_int total
 
 let find_relation t name = Hashtbl.find_opt t.by_name name
 
@@ -353,6 +384,8 @@ let decode_from_segment segment =
       part_index = Addr.Partition_table.create 64;
       self_addr = Hashtbl.create 16;
       part_addr = Addr.Partition_table.create 64;
+      non_resident = Segment_table.create 16;
+      non_resident_total = 0;
       next_rel_id = 1;
       next_seg_id = 1;
       next_idx_id = 1;
@@ -400,6 +433,7 @@ let decode_from_segment segment =
       | Some rel ->
           (* Only catalog partitions are in memory right now. *)
           desc.resident <- desc.part.Addr.segment = catalog_segment_id;
+          if not desc.resident then count_non_resident t desc 1;
           rel.partitions <- rel.partitions @ [ desc ];
           Addr.Partition_table.replace t.part_index desc.part desc;
           Addr.Partition_table.replace t.part_addr desc.part addr)

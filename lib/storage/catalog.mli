@@ -26,12 +26,14 @@ type index_desc = {
   idx_segment : int;
 }
 
-type partition_desc = {
+type partition_desc = private {
   part : Addr.partition;
   mutable ckpt_page : int;        (** first checkpoint-disk page; -1 = never checkpointed *)
   mutable ckpt_page_count : int;
-  mutable resident : bool;
+  mutable resident : bool;  (** changed only through {!set_resident} *)
 }
+(** Read-only outside this module, so the per-segment residency counts
+    ({!non_resident_in_segment}) cannot drift from the flags. *)
 
 type rel_desc = {
   rel_id : int;
@@ -81,8 +83,22 @@ val set_ckpt_location : t -> log:Relation.log_sink -> Addr.partition -> page:int
     §2.4 step 6).  @raise Not_found for unregistered partitions. *)
 
 val set_resident : t -> Addr.partition -> bool -> unit
-(** Residency is volatile bookkeeping; not logged.
+(** Residency is volatile bookkeeping; not logged.  Keeps the
+    per-segment counts of {!non_resident_in_segment} in step.
     @raise Not_found for unregistered partitions. *)
+
+val non_resident_in_segment : t -> int -> int
+(** Number of non-resident partition descriptors of a segment, in O(1):
+    0 once every catalogued partition of the segment is in memory, and
+    for a segment no relation owns.  {!decode_from_segment},
+    {!set_resident}, {!register_partition} (whose descriptors start
+    resident) and {!drop_relation} keep it equal to a count over the
+    descriptors; a drop forgets its segments, so a segment id reused
+    after restart starts at 0. *)
+
+val resident_fraction : t -> float
+(** Fraction of catalogued partitions currently memory-resident, from the
+    counts above (1.0 for an empty catalog). *)
 
 (** {2 Lookup} *)
 

@@ -15,7 +15,12 @@ module Fatal = Mrdb_util.Fatal
 
 exception No_space of { partition : Addr.partition; needed : int }
 
-type t = { buf : bytes }
+(* Two volatile summaries of the slot directory, never stored in [buf]:
+   [free_from] is a lower bound on the lowest free slot (every slot below
+   it is live) and [used] is the sum of live entity lengths.  They make
+   slot placement and the free-space test O(1) without changing a byte of
+   the image or the slot an insert picks. *)
+type t = { buf : bytes; mutable free_from : int; mutable used : int }
 
 let size t = Bytes.length t.buf
 
@@ -43,7 +48,7 @@ let set_slot t slot ~off ~len =
 let create ~size ~segment ~partition =
   if size < 256 then Mrdb_util.Fatal.misuse "Partition.create: size < 256";
   if segment < 0 || partition < 0 then Mrdb_util.Fatal.misuse "Partition.create: ids";
-  let t = { buf = Bytes.make size '\000' } in
+  let t = { buf = Bytes.make size '\000'; free_from = 0; used = 0 } in
   put t off_magic magic;
   put t off_segment segment;
   put t off_partition partition;
@@ -85,16 +90,9 @@ let fold f init t =
   iter (fun slot b -> acc := f !acc slot b) t;
   !acc
 
-let used_data t =
-  let total = ref 0 in
-  for slot = 0 to slot_count t - 1 do
-    if slot_off t slot <> 0 then total := !total + slot_len t slot
-  done;
-  !total
-
 let contiguous_free t = data_tail t - dir_end t
 
-let free_space t = size t - dir_end t - used_data t
+let free_space t = size t - dir_end t - t.used
 
 let compact t =
   (* Slide live entities to the high end of the buffer, highest original
@@ -114,10 +112,19 @@ let compact t =
     by_offset_desc;
   put t off_data_tail !tail
 
+(* The lowest free slot, scanning up from [free_from]; the scan's live
+   prefix is kept, so a fill appends in O(1). *)
 let find_free_slot t =
   let n = slot_count t in
   let rec scan slot = if slot >= n then None else if slot_off t slot = 0 then Some slot else scan (slot + 1) in
-  scan 0
+  let found = scan t.free_from in
+  t.free_from <- (match found with Some slot -> slot | None -> n);
+  found
+
+(* Slot [slot] became live: extend the live prefix past it. *)
+let note_live t slot len =
+  t.used <- t.used + len;
+  if slot = t.free_from then t.free_from <- slot + 1
 
 (* Ensure [len] contiguous heap bytes are available assuming the directory
    will contain [nslots_after] entries; compacts when fragmentation is the
@@ -125,7 +132,7 @@ let find_free_slot t =
 let ensure_room t ~nslots_after ~len =
   let dir_end_after = header_bytes + (nslots_after * slot_entry_bytes) in
   if data_tail t - dir_end_after >= len then true
-  else if size t - dir_end_after - used_data t >= len then begin
+  else if size t - dir_end_after - t.used >= len then begin
     compact t;
     data_tail t - dir_end_after >= len
   end
@@ -150,6 +157,7 @@ let insert t b =
       if ensure_room t ~nslots_after:(slot_count t) ~len then begin
         write_entity t slot b;
         put t off_live (live_entities t + 1);
+        note_live t slot len;
         Some slot
       end
       else None
@@ -160,6 +168,7 @@ let insert t b =
         set_slot t slot ~off:0 ~len:0;
         write_entity t slot b;
         put t off_live (live_entities t + 1);
+        note_live t slot len;
         Some slot
       end
       else None
@@ -181,11 +190,14 @@ let insert_at t ~slot b =
     done
   end;
   write_entity t slot b;
-  put t off_live (live_entities t + 1)
+  put t off_live (live_entities t + 1);
+  note_live t slot len
 
 let delete_at t ~slot =
   if not (is_live t ~slot) then
     Fatal.invariantf ~mod_:"Partition" "delete_at: slot %d not live" slot;
+  t.used <- t.used - slot_len t slot;
+  if slot < t.free_from then t.free_from <- slot;
   set_slot t slot ~off:0 ~len:0;
   put t off_live (live_entities t - 1)
 
@@ -199,18 +211,21 @@ let update_at t ~slot b =
     (* Overwrite in place; the tail of the old allocation becomes heap
        garbage until the next compaction. *)
     Bytes.blit b 0 t.buf (slot_off t slot) len;
-    set_slot t slot ~off:(slot_off t slot) ~len
+    set_slot t slot ~off:(slot_off t slot) ~len;
+    t.used <- t.used - old_len + len
   end
   else begin
     (* Check feasibility counting the old allocation as reclaimable before
        freeing the slot, so a failed update leaves the entity intact. *)
-    let free_after = size t - dir_end t - (used_data t - old_len) in
+    let free_after = size t - dir_end t - (t.used - old_len) in
     if free_after < len then raise (No_space { partition = address t; needed = len });
     set_slot t slot ~off:0 ~len:0;
+    t.used <- t.used - old_len;
     if not (ensure_room t ~nslots_after:(slot_count t) ~len) then
       (* Feasibility was just established. *)
       Fatal.invariant ~mod_:"Partition" "update_at: compaction failed to make room";
-    write_entity t slot b
+    write_entity t slot b;
+    t.used <- t.used + len
   end
 
 let snapshot t = Bytes.copy t.buf
@@ -219,20 +234,23 @@ let unsafe_raw t = t.buf
 let of_snapshot b =
   if Bytes.length b < header_bytes then
     Fatal.invariant ~mod_:"Partition" "of_snapshot: too small";
-  let t = { buf = Bytes.copy b } in
+  let t = { buf = Bytes.copy b; free_from = 0; used = 0 } in
   if get t off_magic <> magic then
     Fatal.invariant ~mod_:"Partition" "of_snapshot: bad magic";
   let n = slot_count t in
   if dir_end t > size t || data_tail t > size t || data_tail t < dir_end t then
     Fatal.invariant ~mod_:"Partition" "of_snapshot: corrupt header";
   let live = ref 0 in
+  t.free_from <- n;
   for slot = 0 to n - 1 do
     let off = slot_off t slot in
     if off <> 0 then begin
       incr live;
+      t.used <- t.used + slot_len t slot;
       if off < dir_end t || off + slot_len t slot > size t then
         Fatal.invariant ~mod_:"Partition" "of_snapshot: corrupt slot"
     end
+    else if slot < t.free_from then t.free_from <- slot
   done;
   if !live <> live_entities t then
     Fatal.invariant ~mod_:"Partition" "of_snapshot: live count mismatch";

@@ -17,7 +17,20 @@
     All mutating operations are expressed so that replaying them (via the
     [*_at] forms carrying explicit slots) against the checkpoint image
     reproduces the exact byte state — the REDO property the Stable Log Tail
-    relies on. *)
+    relies on.
+
+    Besides the buffer, a partition keeps two volatile summaries of its
+    slot directory, rebuilt by {!of_snapshot} and never written into the
+    byte image:
+    - a lower bound on the lowest free slot: every slot below it is live.
+      {!insert} starts its free-slot scan there and every mutating
+      operation keeps the bound (a delete lowers it to the freed slot);
+    - the sum of live entity lengths, so {!free_space} and the room test
+      before an allocation cost O(1).
+
+    Neither changes the byte image or the slot {!insert} picks (still the
+    lowest free slot), so log records and checkpoint images are the same
+    as with a full directory scan. *)
 
 type t
 
@@ -45,7 +58,7 @@ val slot_count : t -> int
 val free_space : t -> int
 (** Bytes available for new entity data (after compaction; the insert path
     compacts automatically when fragmentation blocks an otherwise-fitting
-    allocation). *)
+    allocation).  O(1): read from the live-length sum. *)
 
 val contiguous_free : t -> int
 
@@ -55,7 +68,8 @@ val insert : t -> bytes -> int option
 (** [insert t entity] stores the entity and returns its slot, or [None]
     when the partition cannot hold it.  Slot choice is deterministic
     (lowest free slot), so a log-driven replay of inserts allocates
-    identically. *)
+    identically.  The scan starts at the free-slot bound, so filling a
+    partition costs O(1) per insert. *)
 
 (** {2 Replay-path operations (explicit slot, used by REDO)} *)
 

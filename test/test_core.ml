@@ -439,6 +439,150 @@ let test_work_after_recovery_then_crash_again () =
   Db.recover db;
   check bool_t "second-generation commits survive" true (balances db = before)
 
+(* -- per-segment residency counts -----------------------------------------
+
+   Writes to an indexed relation skip the restore walk over its segment
+   when the catalog counts no non-resident partition there.  A count that
+   drifts low would skip a restore still owed, so after every step these
+   cases hold each segment's count to a fold over the descriptors, and
+   reads to the committed state.  The cases are the three where a
+   residency fast path could go stale: a partition added to a segment that
+   is still on disk, a segment id reused after a drop, and a standby
+   promoted mid-restore. *)
+
+let check_residency_counts db =
+  let cat = Db.catalog db in
+  let expected = Hashtbl.create 16 and total = ref 0 and resident = ref 0 in
+  Catalog.iter_relations
+    (fun rel ->
+      List.iter
+        (fun (d : Catalog.partition_desc) ->
+          incr total;
+          if d.Catalog.resident then incr resident
+          else
+            let seg = d.Catalog.part.Addr.segment in
+            Hashtbl.replace expected seg
+              (1 + Option.value (Hashtbl.find_opt expected seg) ~default:0))
+        rel.Catalog.partitions)
+    cat;
+  for seg = 0 to 31 do
+    check int_t
+      (Printf.sprintf "segment %d: non-resident count = fold" seg)
+      (Option.value (Hashtbl.find_opt expected seg) ~default:0)
+      (Catalog.non_resident_in_segment cat seg)
+  done;
+  check (Alcotest.float 1e-9) "resident fraction = fold"
+    (float_of_int !resident /. float_of_int !total)
+    (Db.resident_fraction db)
+
+let rel_segment db name = (Catalog.find_relation_exn (Db.catalog db) name).Catalog.rel_segment
+
+let non_resident_of db name = Catalog.non_resident_in_segment (Db.catalog db) (rel_segment db name)
+
+let test_residency_new_partition_in_non_resident_segment () =
+  let db = mk_bank ~indexed:false () in
+  insert_accounts db 150;
+  let committed = balances db in
+  Db.crash db;
+  Db.recover db;
+  check_residency_counts db;
+  let owed = non_resident_of db "accounts" in
+  check bool_t "accounts on disk after the restart" true (owed > 1);
+  let parts = List.length (Db.relation_partitions db ~rel:"accounts") in
+  (* No accounts partition is installed, so the insert opens a new one. *)
+  Db.with_txn db (fun tx -> ignore (Db.insert db tx ~rel:"accounts" (account 151)));
+  check_residency_counts db;
+  check int_t "insert allocated a partition" (parts + 1)
+    (List.length (Db.relation_partitions db ~rel:"accounts"));
+  check int_t "the old partitions are still owed" owed (non_resident_of db "accounts");
+  Db.create_index db ~rel:"accounts" ~name:"accounts_id" ~kind:Catalog.Ttree
+    ~key_column:"id";
+  check_residency_counts db;
+  check int_t "indexing restored the segment" 0 (non_resident_of db "accounts");
+  Db.with_txn db (fun tx ->
+      let addr, _ = only_hit db tx 151 in
+      ignore (Db.update_field db tx ~rel:"accounts" addr ~column:"balance" (Schema.int 7)));
+  check_residency_counts db;
+  check bool_t "reads return the committed state" true
+    (balances db = List.sort compare ((151, 7) :: committed))
+
+let test_residency_drop_then_segment_reuse () =
+  let db = mk_bank () in
+  insert_accounts db 20;
+  Db.create_relation db ~name:"doomed" ~schema:account_schema;
+  let first =
+    Db.with_txn db (fun tx ->
+        List.init 150 (fun i -> Db.insert db tx ~rel:"doomed" (account (i + 1))) |> List.hd)
+  in
+  let committed = balances db in
+  let doomed_segment = rel_segment db "doomed" in
+  Db.crash db;
+  Db.recover db;
+  check_residency_counts db;
+  (* Restore one "doomed" partition of several. *)
+  Db.with_txn db (fun tx -> ignore (Db.read db tx ~rel:"doomed" first));
+  check_residency_counts db;
+  check bool_t "doomed partly restored" true
+    (let owed = non_resident_of db "doomed" in
+     owed > 0 && owed < List.length (Db.relation_partitions db ~rel:"doomed"));
+  Db.drop_relation db ~name:"doomed";
+  check_residency_counts db;
+  check int_t "the dropped segment owes nothing" 0
+    (Catalog.non_resident_in_segment (Db.catalog db) doomed_segment);
+  Db.crash db;
+  Db.recover db;
+  check_residency_counts db;
+  Db.create_relation db ~name:"fresh" ~schema:account_schema;
+  check int_t "the dropped segment id is reused" doomed_segment (rel_segment db "fresh");
+  check_residency_counts db;
+  Db.create_index db ~rel:"fresh" ~name:"fresh_id" ~kind:Catalog.Lhash ~key_column:"id";
+  Db.with_txn db (fun tx ->
+      for i = 1 to 30 do
+        ignore (Db.insert db tx ~rel:"fresh" (account i))
+      done);
+  check_residency_counts db;
+  check int_t "fresh holds only its own rows" 30 (Db.cardinality db ~rel:"fresh");
+  check bool_t "accounts committed state" true (balances db = committed);
+  check_residency_counts db
+
+let test_residency_promoted_standby_mid_restore () =
+  let module Replica = Mrdb_replica.Replica in
+  let cl = Replica.create ~config:Config.small () in
+  let p = Replica.primary cl in
+  Db.create_relation p ~name:"accounts" ~schema:account_schema;
+  Db.create_index p ~rel:"accounts" ~name:"accounts_id" ~kind:Catalog.Ttree
+    ~key_column:"id";
+  Db.create_relation p ~name:"other" ~schema:account_schema;
+  insert_accounts p 150;
+  Db.with_txn p (fun tx ->
+      for i = 1 to 150 do
+        ignore (Db.insert p tx ~rel:"other" (account i))
+      done);
+  let committed = balances p in
+  check bool_t "cut shipped" true (Replica.ship_cut cl);
+  Replica.warm_standby cl;
+  check_residency_counts (Replica.standby cl);
+  Replica.crash_primary cl;
+  let np = Replica.promote cl in
+  check_residency_counts np;
+  check bool_t "promoted mid-restore" true (Db.resident_fraction np < 1.0);
+  Db.with_txn np (fun tx ->
+      let addr, _ = only_hit np tx 7 in
+      ignore (Db.update_field np tx ~rel:"accounts" addr ~column:"balance" (Schema.int 1)));
+  check_residency_counts np;
+  check int_t "accounts resident after its first write" 0 (non_resident_of np "accounts");
+  check bool_t "other still on disk" true (non_resident_of np "other" > 0);
+  Db.with_txn np (fun tx -> ignore (Db.insert np tx ~rel:"accounts" (account 151)));
+  check_residency_counts np;
+  Db.recover_everything np;
+  check_residency_counts np;
+  let expected =
+    List.sort compare
+      ((151, 15100) :: List.map (fun (id, b) -> if id = 7 then (7, 1) else (id, b)) committed)
+  in
+  check bool_t "reads return the committed state" true (balances np = expected);
+  check int_t "other intact" 150 (Db.cardinality np ~rel:"other")
+
 (* The torture test: a randomized committed/aborted history with interleaved
    checkpoints and a crash at a random point; the recovered database must
    equal the committed model exactly. *)
@@ -634,4 +778,13 @@ let () =
         @ qsuite
             [ prop_crash_recovery_equivalence; prop_crash_recovery_equivalence_indexed ]
       );
+      ( "residency",
+        [
+          Alcotest.test_case "new partition in a non-resident segment" `Quick
+            test_residency_new_partition_in_non_resident_segment;
+          Alcotest.test_case "drop, crash, segment id reused" `Quick
+            test_residency_drop_then_segment_reuse;
+          Alcotest.test_case "standby promoted mid-restore" `Quick
+            test_residency_promoted_standby_mid_restore;
+        ] );
     ]

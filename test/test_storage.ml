@@ -264,6 +264,85 @@ let prop_partition_replay_equivalence =
       List.iter (Part_op.apply recovered) (List.rev !log);
       Partition.equal_contents live recovered)
 
+(* Model check of the partition's volatile directory summaries (the
+   free-slot bound and the live-length sum).  The oracle is the plain
+   O(slots) directory scan: after every step of a random sequence of
+   inserts, replays, shrinking and growing updates, deletes, compactions
+   and snapshot round trips, [insert] must return the lowest free slot,
+   [free_space] must match the scan, and an operation must be refused
+   exactly when the scan says it cannot fit. *)
+let oracle_lowest_free p =
+  let n = Partition.slot_count p in
+  let rec go slot = if slot >= n || not (Partition.is_live p ~slot) then slot else go (slot + 1) in
+  go 0
+
+(* Bytes left for entity data with [nslots] directory entries, by scan. *)
+let oracle_room p ~nslots =
+  Partition.size p - Partition.header_bytes
+  - (nslots * Partition.slot_entry_bytes)
+  - Partition.fold (fun acc _ b -> acc + Bytes.length b) 0 p
+
+let prop_partition_directory_model =
+  QCheck.Test.make ~name:"partition slot choice and free space match a directory scan"
+    ~count:300
+    QCheck.(
+      list_of_size Gen.(int_range 0 200)
+        (triple (int_bound 7) (int_bound 1000) (int_range 1 90)))
+    (fun ops ->
+      let p = ref (Partition.create ~size:1024 ~segment:3 ~partition:1) in
+      let stamp = ref 0 in
+      let payload len =
+        incr stamp;
+        Bytes.make len (Char.chr (97 + (!stamp mod 26)))
+      in
+      let pick_live k =
+        match List.rev (Partition.fold (fun acc slot _ -> slot :: acc) [] !p) with
+        | [] -> None
+        | live -> Some (List.nth live (k mod List.length live))
+      in
+      let refused_iff fits f =
+        match f () with () -> fits | exception Partition.No_space _ -> not fits
+      in
+      List.for_all
+        (fun (kind, k, len) ->
+          (* The shrinker may step outside the generator's ranges. *)
+          let k = abs k and len = max 1 len in
+          let n = Partition.slot_count !p in
+          let outcome_ok =
+            match kind with
+            | 0 | 1 ->
+                let lowest = oracle_lowest_free !p in
+                let fits = oracle_room !p ~nslots:(max n (lowest + 1)) >= len in
+                Partition.insert !p (payload len) = if fits then Some lowest else None
+            | 2 ->
+                let slot = k mod (n + 4) in
+                Partition.is_live !p ~slot
+                || refused_iff
+                     (oracle_room !p ~nslots:(max n (slot + 1)) >= len)
+                     (fun () -> Partition.insert_at !p ~slot (payload len))
+            | 3 | 4 -> (
+                match pick_live k with
+                | None -> true
+                | Some slot ->
+                    let old_len = Bytes.length (Partition.read_exn !p ~slot) in
+                    let len = if kind = 3 then 1 + (len mod old_len) else old_len + len in
+                    refused_iff
+                      (len <= old_len || oracle_room !p ~nslots:n + old_len >= len)
+                      (fun () -> Partition.update_at !p ~slot (payload len)))
+            | 5 ->
+                Option.iter (fun slot -> Partition.delete_at !p ~slot) (pick_live k);
+                true
+            | 6 ->
+                Partition.compact !p;
+                true
+            | _ ->
+                p := Partition.of_snapshot (Partition.snapshot !p);
+                true
+          in
+          outcome_ok
+          && Partition.free_space !p = oracle_room !p ~nslots:(Partition.slot_count !p))
+        ops)
+
 (* -- Part_op -------------------------------------------------------------------- *)
 
 let test_part_op_roundtrip () =
@@ -552,7 +631,7 @@ let () =
           Alcotest.test_case "failed update preserves entity" `Quick
             test_partition_update_failure_preserves_entity;
         ]
-        @ qsuite [ prop_partition_replay_equivalence ] );
+        @ qsuite [ prop_partition_replay_equivalence; prop_partition_directory_model ] );
       ( "part_op",
         [
           Alcotest.test_case "codec roundtrip" `Quick test_part_op_roundtrip;
