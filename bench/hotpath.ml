@@ -213,10 +213,77 @@ let bench_partition_fill n =
     ns_per_insert first,
     ns_per_insert last )
 
+let replay_partition_bytes = 48 * 1024
+let replay_entity_bytes = 27
+let replay_records_per_pass = 4_000
+
+(* Replay kernel: log pages of physical updates, built once, replayed
+   into a full partition of 27-byte rows (a debit/credit history row)
+   through Restorer.replay, the kernel every restore runs.  Each record
+   rewrites one row with a same-sized image, so a pass leaves the slot
+   directory as it found it and the pages can be replayed again.  One op
+   is one frame applied. *)
+let bench_replay n =
+  let module Partition = Mrdb_storage.Partition in
+  let cfg = Stable_layout.default_config in
+  let page_bytes = cfg.Stable_layout.log_page_bytes and dir_size = cfg.Stable_layout.dir_size in
+  let part = Partition.create ~size:replay_partition_bytes ~segment:1 ~partition:0 in
+  let row = Bytes.make replay_entity_bytes 'h' in
+  while Partition.insert part row <> None do () done;
+  let slots = Partition.slot_count part in
+  let capacity = Log_page.payload_capacity ~page_bytes ~dir_size in
+  let payload = Bytes.create capacity in
+  let pages = ref [] and used = ref 0 and nrecords = ref 0 in
+  let seal () =
+    let image =
+      Log_page.build ~page_bytes ~dir_size ~lsn:(Int64.of_int (List.length !pages))
+        ~part:(Partition.address part) ~prev_lsn:(-1L) ~dir:[||]
+        ~payload:(Bytes.sub payload 0 !used) ~nrecords:!nrecords
+    in
+    (match Log_page.decode ~page_bytes ~dir_size image with
+    | Ok (_, frames) -> pages := frames :: !pages
+    | Error e -> failwith ("replay bench: " ^ e));
+    used := 0;
+    nrecords := 0
+  in
+  for seq = 1 to replay_records_per_pass do
+    let r =
+      Log_record.make ~tag:Log_record.Relation_op ~bin_index:0 ~txn_id:seq ~seq
+        ~op:
+          (Mrdb_storage.Part_op.Update
+             { slot = seq * 7919 mod slots;
+               data = Bytes.make replay_entity_bytes (Char.chr (seq land 0xFF)) })
+    in
+    let size = Log_record.encoded_size r in
+    if !used + 2 + size > capacity then seal ();
+    Mrdb_util.Codec.put_u16 payload !used size;
+    ignore (Log_record.encode_into r payload ~pos:(!used + 2) : int);
+    used := !used + 2 + size;
+    incr nrecords
+  done;
+  seal ();
+  let frames = List.rev !pages in
+  let elapsed = ref 0.0 and alloc = acc () and done_ = ref 0 in
+  while !done_ < n do
+    elapsed :=
+      !elapsed
+      +. measure_window alloc ~ops:replay_records_per_pass (fun () ->
+             let r = Mrdb_recovery.Restorer.replay ~partition:part ~watermark:0 frames in
+             if r.Mrdb_recovery.Restorer.applied <> replay_records_per_pass then
+               failwith "replay bench: not every frame applied");
+    done_ := !done_ + replay_records_per_pass
+  done;
+  (float_of_int !done_ /. !elapsed, per_op alloc)
+
 let bench_txn n =
   let db = Mrdb_core.Db.create ~config:Mrdb_core.Config.default () in
   let bank = Mrdb_core.Workload.Bank.setup db ~accounts:400 ~tellers:8 ~branches:2 () in
   let rng = Mrdb_util.Rng.of_int 7 in
+  (* The latency percentiles below cover the measured loop only: the bank
+     set-up's populate transactions (hundreds of simulated ms each) would
+     otherwise be the p99 of a quick run. *)
+  let lat = Mrdb_obs.Obs.txn_latency (Mrdb_core.Db.obs db) in
+  Mrdb_obs.Metrics.h_clear lat;
   let chunk = 200 in
   let elapsed = ref 0.0 and alloc = acc () and done_ = ref 0 in
   while !done_ < n do
@@ -240,7 +307,6 @@ let bench_txn n =
   (* Per-transaction latency from the instance's own simulated-time
      histogram: begin -> commit, including the modeled commit-path CPU
      cost, so p50 is meaningfully non-zero even on a µs-grained clock. *)
-  let lat = Mrdb_obs.Obs.txn_latency (Mrdb_core.Db.obs db) in
   let p50 = Mrdb_obs.Metrics.quantile lat 0.5
   and p99 = Mrdb_obs.Metrics.quantile lat 0.99 in
   (* Untimed crash/recovery cycle so the embedded mrdb-obs/1 snapshot
@@ -381,6 +447,7 @@ let () =
       ("debit_credit_nexec", nexec_result, scale 2_000);
       ("crc32", bench_crc32 (scale 5_000), scale 5_000);
       ("partition_fill", fill_result, fill_inserts);
+      ("replay", bench_replay (scale 400_000), scale 400_000);
     ]
   in
   let buf = Buffer.create 512 in
@@ -406,6 +473,9 @@ let () =
             ", \"partition_bytes\": %d, \"entity_bytes\": %d, \
              \"first_tenth_ns\": %.1f, \"last_tenth_ns\": %.1f"
             fill_partition_bytes fill_entity_bytes fill_first_ns fill_last_ns
+        else if name = "replay" then
+          Printf.sprintf ", \"partition_bytes\": %d, \"entity_bytes\": %d, \"ns_per_frame\": %.1f"
+            replay_partition_bytes replay_entity_bytes (1e9 /. ops)
         else ""
       in
       Buffer.add_string buf

@@ -15,8 +15,17 @@ open Mrdb_storage
 type t = {
   part : Addr.partition;
   watermark : int;
-  snapshot : bytes; (** {!Partition.snapshot} image *)
+  snapshot : bytes;
+      (** Holds the {!Partition.snapshot} image at
+          [snapshot.[snapshot_pos .. snapshot_pos + snapshot_len)]: the
+          whole buffer for an image built with {!make}, a window into the
+          track buffer for a decoded one. *)
+  snapshot_pos : int;
+  snapshot_len : int;
 }
+
+val make : part:Addr.partition -> watermark:int -> snapshot:bytes -> t
+(** An image of the whole [snapshot] buffer. *)
 
 val encode : page_bytes:int -> t -> bytes
 (** Page-multiple image ready for a track write. *)
@@ -33,4 +42,12 @@ val encode_into :
 val pages_needed : page_bytes:int -> snapshot_bytes:int -> int
 
 val decode : bytes -> (t, string) result
-(** Verify magic + CRC; tolerate trailing page padding. *)
+(** Verify magic + CRC; tolerate trailing page padding.  The CRC runs in
+    place and the result's snapshot is a window into the given buffer —
+    nothing is copied, so the buffer must not be reused while the image
+    is live. *)
+
+val to_partition : t -> Partition.t
+(** The partition the image holds: its snapshot window copied once, by
+    {!Partition.of_snapshot}.
+    @raise Mrdb_util.Fatal.Invariant on a corrupt partition image. *)

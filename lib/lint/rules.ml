@@ -425,7 +425,7 @@ let default_config =
              not carry, so WHERE commands may be applied is an integrity
              boundary.  Only the codec subsystem itself and the shared
              REDO kernel in the restorer may run the dispatch table (the
-             standby audit reaches it through Restorer.apply_records). *)
+             standby audit reaches it through Restorer.replay). *)
           res_name = "replay dispatch table";
           res_write_idents = [ ("Replay", "apply_cmd"); ("Dispatch", "register") ];
           res_fields = [];

@@ -65,7 +65,7 @@ let patch_cell_part p ~slot ~col v =
   | Some data ->
       ignore (int_cell data ~col);
       Codec.put_i64 data ((col * cell_bytes) + 1) v;
-      Partition.update_at p ~slot data
+      Partition.update_at p ~slot data ~pos:0 ~len:(Bytes.length data)
 
 let set_col target ~slot ~col v =
   match target with
@@ -120,7 +120,7 @@ let insert_ints ?alloc target ~slot args =
         done;
         b
   in
-  Partition.insert_at part ~slot buf
+  Partition.insert_at part ~slot buf ~pos:0 ~len:(Bytes.length buf)
 
 let delete ?alloc target ~slot =
   match target with

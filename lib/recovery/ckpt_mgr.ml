@@ -178,7 +178,7 @@ let run c (part : Addr.partition) =
           (match (c.env.Recovery_env.archiver, arch_snapshot) with
           | Some a, Some snapshot ->
               Archive.on_ckpt_image a
-                { Ckpt_image.part; watermark; snapshot }
+                (Ckpt_image.make ~part ~watermark ~snapshot)
                 ~page_bytes:(page_bytes c)
           | _ -> ());
           (* Commit installs the new location atomically. *)

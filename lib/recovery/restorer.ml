@@ -2,6 +2,7 @@ open Mrdb_storage
 module Trace = Mrdb_sim.Trace
 module Slt = Mrdb_wal.Slt
 module Log_record = Mrdb_wal.Log_record
+module Log_page = Mrdb_wal.Log_page
 module Ckpt_image = Mrdb_ckpt.Ckpt_image
 module Archive = Mrdb_archive.Archive
 
@@ -84,92 +85,86 @@ let read_ckpt_image env ~(part : Addr.partition) ~first_page ~pages k =
           | Ok image -> k (Some image)
           | Error e -> fallback e))
 
-(* Replay a recovered record stream on top of a checkpoint image: records
-   at or below the watermark are already in the image and are skipped
-   (idempotent replay, for both record families).  Returns the highest
-   sequence number seen.  [rel] supplies the relation runtime for logical
-   command records — the restart path builds one from the catalog schema;
-   callers without schema access (the standby audit) omit it and commands
-   replay at the partition-byte level.  [on_applied] lets the
-   catalogued-partition path bump its trace counter without the
-   catalog-bootstrap path inheriting it. *)
-let apply_records ~partition ?rel ~watermark ?(on_applied = fun () -> ()) records =
-  let max_seq = ref watermark in
-  List.iter
-    (fun (r : Log_record.t) ->
-      if r.Log_record.seq > watermark then begin
-        (match r.Log_record.op with
-        | Log_record.Physical op -> Part_op.apply partition op
-        | Log_record.Command cmd ->
-            let target =
-              match rel with
-              | Some rel -> Mrdb_logical.Dispatch.Rel { rel; part = partition }
-              | None -> Mrdb_logical.Dispatch.Part partition
-            in
-            Mrdb_logical.Replay.apply_cmd ~target cmd);
-        on_applied ()
-      end;
-      if r.Log_record.seq > !max_seq then max_seq := r.Log_record.seq)
-    records;
-  !max_seq
+(* The REDO kernel: walk the recovered frames in stream order, straight
+   from the page bytes.  A record at or below the watermark is already in
+   the image and is skipped on its peeked sequence number, undecoded
+   (idempotent replay, for both record families).  A physical operation
+   is applied in place, its entity blitted from the page into the
+   partition; a command is decoded in place and goes through the dispatch
+   table — against the relation layer when [rel] is supplied (forced on
+   the first applied command), else as schema-free partition-cell
+   patches. *)
+type replayed = { max_seq : int; frames : int; applied : int }
 
-(* A relation runtime for logical replay, when the stream needs one: a
-   private scratch segment holding just this partition, wrapped in a
-   [Relation.t] carrying the catalogued schema.  Private so replay-time
-   reads never perturb the real segment table mid-recovery. *)
-let replay_relation cat ~(part : Addr.partition) ~partition_bytes partition records =
-  let has_command =
-    List.exists
-      (fun (r : Log_record.t) ->
-        match r.Log_record.op with
-        | Log_record.Command _ -> true
-        | Log_record.Physical _ -> false)
-      records
+let replay ~partition ?rel ~watermark frames =
+  let max_seq = ref watermark and seen = ref 0 and applied = ref 0 in
+  let apply b ~pos ~len =
+    incr seen;
+    let seq = Log_record.peek_seq b ~pos in
+    if seq > watermark then begin
+      if Log_record.is_command b ~pos then begin
+        let target =
+          match rel with
+          | Some rel -> Mrdb_logical.Dispatch.Rel { rel = Lazy.force rel; part = partition }
+          | None -> Mrdb_logical.Dispatch.Part partition
+        in
+        Mrdb_logical.Replay.apply_cmd ~target (Log_record.command_at b ~pos ~len)
+      end
+      else
+        Part_op.apply_encoded partition b ~pos:(Log_record.body_at b ~pos)
+          ~stop:(pos + len);
+      incr applied
+    end;
+    if seq > !max_seq then max_seq := seq
   in
-  if not has_command then None
-  else
-    match Catalog.relation_of_segment cat part.Addr.segment with
-    | None ->
-        Mrdb_util.Fatal.invariant ~mod_:"Restorer"
-          "command records for a segment no relation owns"
-    | Some desc ->
-        let seg = Segment.create ~id:part.Addr.segment ~partition_bytes in
-        Segment.install seg partition;
-        Some
-          (Relation.create ~id:desc.Catalog.rel_id ~name:desc.Catalog.rel_name
-             ~schema:desc.Catalog.schema ~segment:seg)
+  List.iter (fun f -> Log_page.iter_frames f ~f:apply) frames;
+  { max_seq = !max_seq; frames = !seen; applied = !applied }
+
+(* A relation runtime for logical replay: a private scratch segment
+   holding just this partition, wrapped in a [Relation.t] carrying the
+   catalogued schema.  Private so replay-time reads never perturb the
+   real segment table mid-recovery. *)
+let replay_relation cat ~(part : Addr.partition) ~partition_bytes partition =
+  match Catalog.relation_of_segment cat part.Addr.segment with
+  | None ->
+      Mrdb_util.Fatal.invariant ~mod_:"Restorer"
+        "command records for a segment no relation owns"
+  | Some desc ->
+      let seg = Segment.create ~id:part.Addr.segment ~partition_bytes in
+      Segment.install seg partition;
+      Relation.create ~id:desc.Catalog.rel_id ~name:desc.Catalog.rel_name
+        ~schema:desc.Catalog.schema ~segment:seg
 
 (* The restore kernel shared by catalogued partitions and the catalog
    bootstrap: the checkpoint image and the log stream are fetched in
    parallel (different disks), the clock is pumped until both land, and
    the base is the image — or an empty partition when [part] was never
    checkpointed.  Returns the base, its watermark and the recovered
-   records; the caller replays them with its own [apply_records]
-   options. *)
+   frames; the caller replays them with its own [replay] options. *)
 let fetch_base env slt ~(part : Addr.partition) ~first_page ~pages =
   let image = ref None and image_done = ref false in
-  let records = ref [] and records_done = ref false in
+  let frames = ref [] and frames_done = ref false in
   read_ckpt_image env ~part ~first_page ~pages (fun img ->
       image := img;
       image_done := true);
-  Slt.records_for_recovery slt part (fun result ->
+  Slt.frames_for_recovery slt part (fun result ->
       (match result with
-      | Ok rs -> records := rs
+      | Ok fs -> frames := fs
       | Error e -> Mrdb_util.Fatal.invariant ~mod_:"Restorer" ("log recovery failed: " ^ e));
-      records_done := true);
-  Recovery_env.pump_until env (fun () -> !image_done && !records_done);
+      frames_done := true);
+  Recovery_env.pump_until env (fun () -> !image_done && !frames_done);
   let partition, watermark =
     match !image with
     | Some img ->
         if not (Addr.equal_partition img.Ckpt_image.part part) then
           Mrdb_util.Fatal.invariant ~mod_:"Restorer" "checkpoint image for wrong partition";
-        (Partition.of_snapshot img.Ckpt_image.snapshot, img.Ckpt_image.watermark)
+        (Ckpt_image.to_partition img, img.Ckpt_image.watermark)
     | None ->
         ( Partition.create ~size:env.Recovery_env.partition_bytes
             ~segment:part.Addr.segment ~partition:part.Addr.partition,
           0 )
   in
-  (partition, watermark, !records)
+  (partition, watermark, !frames)
 
 (* Restore one catalogued partition through the kernel, then install it
    and mark it resident. *)
@@ -184,22 +179,22 @@ let ensure_partition r part =
   in
   if not desc.Catalog.resident then begin
     let t0 = Mrdb_sim.Sim.now env.Recovery_env.sim in
-    let partition, watermark, records =
+    let partition, watermark, frames =
       fetch_base env r.slt ~part ~first_page:desc.Catalog.ckpt_page
         ~pages:desc.Catalog.ckpt_page_count
     in
     let rel =
-      replay_relation r.cat ~part
-        ~partition_bytes:env.Recovery_env.partition_bytes partition records
+      lazy
+        (replay_relation r.cat ~part
+           ~partition_bytes:env.Recovery_env.partition_bytes partition)
     in
-    let max_seq =
-      apply_records ~partition ?rel ~watermark
-        ~on_applied:(fun () ->
-          Trace.incr env.Recovery_env.trace "recovery_records_applied")
-        records
-    in
+    let replayed = replay ~partition ~rel ~watermark frames in
+    (* Counters are created on first bump: a partition with nothing to
+       replay must leave the trace exactly as it was. *)
+    if replayed.applied > 0 then
+      Trace.add env.Recovery_env.trace "recovery_records_applied" replayed.applied;
     Segment.install (segment_of r part.Addr.segment) partition;
-    Addr.Partition_table.replace r.seq part max_seq;
+    Addr.Partition_table.replace r.seq part replayed.max_seq;
     Catalog.set_resident r.cat part true;
     Trace.incr env.Recovery_env.trace "partitions_recovered";
     Trace.incr env.Recovery_env.trace "restorer_partitions_restored";
@@ -214,7 +209,7 @@ let ensure_partition r part =
     Mrdb_obs.Flight_recorder.partition_restored
       (Mrdb_obs.Obs.recorder obs)
       ~segment:part.Addr.segment ~partition:part.Addr.partition
-      ~records:(List.length records)
+      ~records:replayed.frames
   end
 
 (* The forward path calls this before every write to an indexed relation;
@@ -283,12 +278,12 @@ let restore_catalog env ~slt ~entries =
   let catalog_seq = ref [] in
   List.iter
     (fun (e : Wellknown.entry) ->
-      let partition, watermark, records =
+      let partition, watermark, frames =
         fetch_base env slt ~part:e.Wellknown.part ~first_page:e.Wellknown.ckpt_page
           ~pages:e.Wellknown.pages
       in
-      let max_seq = apply_records ~partition ~watermark records in
-      catalog_seq := (e.Wellknown.part, max_seq) :: !catalog_seq;
+      let replayed = replay ~partition ~watermark frames in
+      catalog_seq := (e.Wellknown.part, replayed.max_seq) :: !catalog_seq;
       Segment.install cat_segment partition)
     entries;
   (cat_segment, !catalog_seq)

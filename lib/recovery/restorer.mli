@@ -26,24 +26,33 @@ val segment_of : t -> int -> Segment.t
 (** The segment runtime for [seg_id], creating it (and reserving all
     catalogued partition numbers) on first touch. *)
 
-val apply_records :
+type replayed = {
+  max_seq : int;  (** highest sequence number seen, or the watermark *)
+  frames : int;   (** records walked, skipped ones included *)
+  applied : int;  (** records applied (those above the watermark) *)
+}
+
+val replay :
   partition:Partition.t ->
-  ?rel:Relation.t ->
+  ?rel:Relation.t Lazy.t ->
   watermark:int ->
-  ?on_applied:(unit -> unit) ->
-  Mrdb_wal.Log_record.t list ->
-  int
-(** The REDO kernel shared by every replay path: apply each record with
-    [seq > watermark] to the partition in stream order and return the
-    highest sequence seen (or [watermark] for an empty/filtered stream).
-    Physical records apply as slot operations; logical command records go
-    through {!Mrdb_logical.Replay} — against the relation layer when
-    [rel] is supplied (restart recovery builds one from the catalog
-    schema), else as schema-free partition-cell patches.  Reused by the
-    warm-standby apply path ({!Mrdb_replica}), which replays shipped log
-    records onto shadow partitions exactly as restart replay does onto
-    restored ones (no [rel]: a standby audits without catalog access).
-    [on_applied] fires once per record actually applied. *)
+  Mrdb_wal.Log_page.frames list ->
+  replayed
+(** The REDO kernel shared by every replay path: walk the frames in
+    stream order straight from the page bytes and apply each record with
+    [seq > watermark] to the partition.  Records at or below the
+    watermark are skipped on their peeked sequence number, undecoded.
+    Physical records apply in place, their entities blitted from the page
+    ({!Part_op.apply_encoded}); logical command records are decoded in
+    place and go through {!Mrdb_logical.Replay} — against the relation
+    layer when [rel] is supplied (restart recovery builds one from the
+    catalog schema; it is forced on the first applied command), else as
+    schema-free partition-cell patches.  Reused by the warm-standby audit
+    ({!Mrdb_replica}), which replays the standby's own log pages onto
+    rebuilt partitions exactly as restart replay does onto restored ones
+    (no [rel]: a standby audits without catalog access).
+    @raise Mrdb_util.Fatal.Invariant on a malformed frame or a record
+    that does not fit the partition state. *)
 
 val ensure_partition : t -> Addr.partition -> unit
 (** Restore the partition if it is not memory-resident: checkpoint image

@@ -48,10 +48,12 @@ let install_batch ~standby (b : Ship_log.batch) =
   Trace.incr trace "replica_batches_applied"
 
 (* Every in-window log page on the standby's own log disk, grouped by the
-   partition that owns it, records in original (ascending-LSN) order.  A
+   partition that owns it, frames in original (ascending-LSN) order.  A
    slot holding a different LSN's page (never shipped, or lapped) is
-   skipped — if its records mattered, the per-partition CRC will say so. *)
-let window_records standby =
+   skipped — if its records mattered, the per-partition CRC will say so.
+   Only page headers are decoded; the records stay in the page images
+   until the audit replays them. *)
+let window_frames standby =
   let ld = Db.log_disk standby in
   let page_bytes = Log_disk.page_bytes ld and dir_size = Log_disk.dir_size ld in
   let by_part = Hashtbl.create 32 in
@@ -62,16 +64,16 @@ let window_records standby =
     | Some image -> (
         match Log_page.parse ~page_bytes ~dir_size image with
         | Error _ -> ()
-        | Ok (header, records) ->
+        | Ok (header, frames) ->
             if header.Log_page.lsn = !lsn then
               let part = header.Log_page.part in
               let prev =
                 Option.value (Hashtbl.find_opt by_part part) ~default:[]
               in
-              Hashtbl.replace by_part part (List.rev_append records prev)));
+              Hashtbl.replace by_part part (frames :: prev)));
     lsn := Int64.add !lsn 1L
   done;
-  Hashtbl.iter (fun part recs -> Hashtbl.replace by_part part (List.rev recs)) by_part;
+  Hashtbl.iter (fun part fs -> Hashtbl.replace by_part part (List.rev fs)) by_part;
   by_part
 
 (* Rebuild one partition from the standby's own durable artifacts —
@@ -103,28 +105,28 @@ let rebuild ~standby ~by_part (c : Ship_log.part_check) =
           match Mrdb_ckpt.Ckpt_image.decode (Bytes.concat Bytes.empty pages) with
           | Error _ -> None
           | Ok img -> (
-              match Mrdb_storage.Partition.of_snapshot img.Mrdb_ckpt.Ckpt_image.snapshot with
+              match Mrdb_ckpt.Ckpt_image.to_partition img with
               | p -> Some (p, img.Mrdb_ckpt.Ckpt_image.watermark)
               | exception Failure _ -> None))
   in
   match base with
   | None -> None
   | Some (partition, watermark) -> (
-      let records =
+      let frames =
         Option.value (Hashtbl.find_opt by_part c.Ship_log.part) ~default:[]
       in
       (* A replay that blows up (a record addressing a slot the base image
          cannot account for) is the strongest possible divergence signal:
          these artifacts do not compose.  Report it as such rather than
          letting the invariant escape — the re-seed is the repair. *)
-      match Mrdb_recovery.Restorer.apply_records ~partition ~watermark records with
+      match Mrdb_recovery.Restorer.replay ~partition ~watermark frames with
       | _ -> Some partition
       | exception Mrdb_util.Fatal.Invariant _ -> None
       | exception Invalid_argument _ -> None)
 
 let audit ~standby checks =
   let trace = Db.trace standby in
-  let by_part = window_records standby in
+  let by_part = window_frames standby in
   List.filter_map
     (fun (c : Ship_log.part_check) ->
       Trace.incr trace "replica_audit_partitions";

@@ -10,7 +10,7 @@
 
     The audit half re-derives each checked partition from the standby's
     {e own} durable artifacts — checkpoint image plus log replay through
-    {!Mrdb_recovery.Restorer.apply_records}, the same REDO kernel a
+    {!Mrdb_recovery.Restorer.replay}, the same REDO kernel a
     restart uses — and compares the result against the primary's
     at-the-cut CRC.  A mismatch is a divergence: the standby's durable
     state cannot reproduce the primary's, and only a full re-seed fixes

@@ -4,9 +4,33 @@ type t =
   | Delete of { slot : int }
 
 let apply p = function
-  | Insert { slot; data } -> Partition.insert_at p ~slot data
-  | Update { slot; data } -> Partition.update_at p ~slot data
+  | Insert { slot; data } -> Partition.insert_at p ~slot data ~pos:0 ~len:(Bytes.length data)
+  | Update { slot; data } -> Partition.update_at p ~slot data ~pos:0 ~len:(Bytes.length data)
   | Delete { slot } -> Partition.delete_at p ~slot
+
+(* The replay kernel's form of [decode] then [apply]: fields are read in
+   place and an entity is blitted from [b] into the partition, so a
+   physical REDO record costs no allocation. *)
+let overrun ~pos ~stop =
+  Mrdb_util.Fatal.invariantf ~mod_:"Part_op"
+    "apply_encoded: op at %d does not end at frame end %d" pos stop
+
+let apply_encoded p b ~pos ~stop =
+  let open Mrdb_util.Codec in
+  let tag = Char.code (Bytes.get b pos) in
+  let slot = get_varint b (pos + 1) in
+  let after_slot = skip_varint b (pos + 1) in
+  match tag with
+  | 0 | 1 ->
+      let len = get_varint b after_slot in
+      let data = skip_varint b after_slot in
+      if data + len <> stop then overrun ~pos ~stop;
+      if tag = 0 then Partition.insert_at p ~slot b ~pos:data ~len
+      else Partition.update_at p ~slot b ~pos:data ~len
+  | 2 ->
+      if after_slot <> stop then overrun ~pos ~stop;
+      Partition.delete_at p ~slot
+  | n -> Mrdb_util.Fatal.invariantf ~mod_:"Part_op" "decode: bad tag %d" n
 
 let undo_of ~before op =
   match (op, before) with

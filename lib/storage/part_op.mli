@@ -16,6 +16,14 @@ val apply : Partition.t -> t -> unit
 (** @raise Failure when the operation does not fit the partition state
     (occupied/free slot mismatch, out of space). *)
 
+val apply_encoded : Partition.t -> bytes -> pos:int -> stop:int -> unit
+(** [decode] then {!apply} without the intermediate value: the operation
+    encoded at [b.[pos .. stop)] is applied in place, its entity bytes
+    blitted straight from [b] into the partition.  The replay kernel uses
+    this on log-page bytes.
+    @raise Mrdb_util.Fatal.Invariant on a bad tag or an encoding that does
+    not end exactly at [stop]. *)
+
 val undo_of : before:bytes option -> t -> t
 (** [undo_of ~before op] is the inverse operation, where [before] is the
     entity image prior to [op] ([None] for inserts).

@@ -24,8 +24,14 @@ type t = { buf : bytes; mutable free_from : int; mutable used : int }
 
 let size t = Bytes.length t.buf
 
-let get t off = Mrdb_util.Codec.get_u32 t.buf off
-let put t off v = Mrdb_util.Codec.put_u32 t.buf off v
+(* Header and slot fields are u32 little-endian, the {!Mrdb_util.Codec}
+   layout.  Read and written here through the stdlib primitives, which
+   inline, rather than through [Codec] calls: the restore path's slot scan
+   and in-place replay are made of little else.  Every value stored is an
+   offset, length or count below the partition size, so the range check
+   of [Codec.put_u32] cannot fire. *)
+let get t off = Int32.to_int (Bytes.get_int32_le t.buf off) land 0xFFFF_FFFF
+let put t off v = Bytes.set_int32_le t.buf off (Int32.of_int v)
 
 let segment_id t = get t off_segment
 let partition_id t = get t off_partition
@@ -143,10 +149,9 @@ let alloc_data t len =
   put t off_data_tail tail;
   tail
 
-let write_entity t slot b =
-  let len = Bytes.length b in
+let write_entity t slot src ~pos ~len =
   let off = alloc_data t len in
-  Bytes.blit b 0 t.buf off len;
+  Bytes.blit src pos t.buf off len;
   set_slot t slot ~off ~len
 
 let insert t b =
@@ -155,7 +160,7 @@ let insert t b =
   match find_free_slot t with
   | Some slot ->
       if ensure_room t ~nslots_after:(slot_count t) ~len then begin
-        write_entity t slot b;
+        write_entity t slot b ~pos:0 ~len;
         put t off_live (live_entities t + 1);
         note_live t slot len;
         Some slot
@@ -166,15 +171,14 @@ let insert t b =
       if ensure_room t ~nslots_after:(slot + 1) ~len then begin
         put t off_nslots (slot + 1);
         set_slot t slot ~off:0 ~len:0;
-        write_entity t slot b;
+        write_entity t slot b ~pos:0 ~len;
         put t off_live (live_entities t + 1);
         note_live t slot len;
         Some slot
       end
       else None
 
-let insert_at t ~slot b =
-  let len = Bytes.length b in
+let insert_at t ~slot src ~pos ~len =
   if len = 0 then Mrdb_util.Fatal.misuse "Partition.insert_at: empty entity";
   if slot < 0 then Mrdb_util.Fatal.misuse "Partition.insert_at: negative slot";
   if is_live t ~slot then
@@ -189,7 +193,7 @@ let insert_at t ~slot b =
       set_slot t s ~off:0 ~len:0
     done
   end;
-  write_entity t slot b;
+  write_entity t slot src ~pos ~len;
   put t off_live (live_entities t + 1);
   note_live t slot len
 
@@ -201,16 +205,15 @@ let delete_at t ~slot =
   set_slot t slot ~off:0 ~len:0;
   put t off_live (live_entities t - 1)
 
-let update_at t ~slot b =
+let update_at t ~slot src ~pos ~len =
   if not (is_live t ~slot) then
     Fatal.invariantf ~mod_:"Partition" "update_at: slot %d not live" slot;
-  let len = Bytes.length b in
   if len = 0 then Mrdb_util.Fatal.misuse "Partition.update_at: empty entity";
   let old_len = slot_len t slot in
   if len <= old_len then begin
     (* Overwrite in place; the tail of the old allocation becomes heap
        garbage until the next compaction. *)
-    Bytes.blit b 0 t.buf (slot_off t slot) len;
+    Bytes.blit src pos t.buf (slot_off t slot) len;
     set_slot t slot ~off:(slot_off t slot) ~len;
     t.used <- t.used - old_len + len
   end
@@ -224,17 +227,18 @@ let update_at t ~slot b =
     if not (ensure_room t ~nslots_after:(slot_count t) ~len) then
       (* Feasibility was just established. *)
       Fatal.invariant ~mod_:"Partition" "update_at: compaction failed to make room";
-    write_entity t slot b;
+    write_entity t slot src ~pos ~len;
     t.used <- t.used + len
   end
 
 let snapshot t = Bytes.copy t.buf
 let unsafe_raw t = t.buf
 
-let of_snapshot b =
-  if Bytes.length b < header_bytes then
+let of_snapshot ?(pos = 0) ?len b =
+  let len = match len with Some n -> n | None -> Bytes.length b - pos in
+  if len < header_bytes then
     Fatal.invariant ~mod_:"Partition" "of_snapshot: too small";
-  let t = { buf = Bytes.copy b; free_from = 0; used = 0 } in
+  let t = { buf = Bytes.sub b pos len; free_from = 0; used = 0 } in
   if get t off_magic <> magic then
     Fatal.invariant ~mod_:"Partition" "of_snapshot: bad magic";
   let n = slot_count t in

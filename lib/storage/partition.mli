@@ -73,12 +73,18 @@ val insert : t -> bytes -> int option
 
 (** {2 Replay-path operations (explicit slot, used by REDO)} *)
 
-val insert_at : t -> slot:int -> bytes -> unit
-(** @raise Failure if the slot is occupied or space is exhausted. *)
+val insert_at : t -> slot:int -> bytes -> pos:int -> len:int -> unit
+(** [insert_at t ~slot src ~pos ~len] stores [src.[pos .. pos+len)] at
+    [slot].  The source is read in place, so replay blits an entity
+    straight out of a log-page buffer.
+    @raise Mrdb_util.Fatal.Invariant if the slot is occupied.
+    @raise No_space when space is exhausted. *)
 
-val update_at : t -> slot:int -> bytes -> unit
-(** Replace the entity at [slot] (any size, reallocating in the heap).
-    @raise Failure if the slot is free or space is exhausted. *)
+val update_at : t -> slot:int -> bytes -> pos:int -> len:int -> unit
+(** Replace the entity at [slot] with [src.[pos .. pos+len)] (any size,
+    reallocating in the heap).
+    @raise Mrdb_util.Fatal.Invariant if the slot is free.
+    @raise No_space when space is exhausted. *)
 
 val delete_at : t -> slot:int -> unit
 (** @raise Failure if the slot is already free. *)
@@ -112,8 +118,10 @@ val unsafe_raw : t -> bytes
     out of this under the checkpoint's relation lock, where no simulated
     time passes before the bytes are captured. *)
 
-val of_snapshot : bytes -> t
-(** Rebuild a partition from a checkpoint image.
+val of_snapshot : ?pos:int -> ?len:int -> bytes -> t
+(** Rebuild a partition from the checkpoint image at [b.[pos .. pos+len)]
+    (default: all of [b]).  The image is copied once, into the partition;
+    the restart path hands in the checkpoint track buffer itself.
     @raise Failure on bad magic or corrupt header. *)
 
 val compact : t -> unit

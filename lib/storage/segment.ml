@@ -139,7 +139,7 @@ let read_entity_with t (addr : Addr.t) ~alloc =
 let update_entity t (addr : Addr.t) b =
   if addr.Addr.segment <> t.id then Mrdb_util.Fatal.misuse "Segment.update_entity: wrong segment";
   let p = find_exn t addr.Addr.partition in
-  Partition.update_at p ~slot:addr.Addr.slot b
+  Partition.update_at p ~slot:addr.Addr.slot b ~pos:0 ~len:(Bytes.length b)
 
 let delete_entity t (addr : Addr.t) =
   if addr.Addr.segment <> t.id then Mrdb_util.Fatal.misuse "Segment.delete_entity: wrong segment";

@@ -31,6 +31,20 @@ let rec put_varint b off v =
     put_varint b (off + 1) (v lsr 7)
   end
 
+let rec get_varint_from b off shift acc =
+  let byte = Char.code (Bytes.get b off) in
+  let acc = acc lor ((byte land 0x7F) lsl shift) in
+  if byte < 0x80 then acc else get_varint_from b (off + 1) (shift + 7) acc
+
+(* One-byte values (slots, lengths and sequence numbers below 128) take
+   the non-recursive branch. *)
+let get_varint b off =
+  let byte = Char.code (Bytes.get b off) in
+  if byte < 0x80 then byte else get_varint_from b (off + 1) 7 (byte land 0x7F)
+
+let rec skip_varint b off =
+  if Char.code (Bytes.get b off) < 0x80 then off + 1 else skip_varint b (off + 1)
+
 module Enc = struct
   type t = { mutable buf : bytes; mutable len : int }
 

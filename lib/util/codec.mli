@@ -71,3 +71,12 @@ val put_varint : bytes -> int -> int -> int
 (** [put_varint b off v] writes [v] as LEB128 at [off] and returns the
     offset one past the last byte written.  The caller must have reserved
     [varint_size v] bytes; non-negative ints only. *)
+
+val get_varint : bytes -> int -> int
+(** [get_varint b off] reads the LEB128 value starting at [off] — the
+    positional twin of {!put_varint}, allocation-free.
+    @raise Invalid_argument when the varint runs past the end of [b]. *)
+
+val skip_varint : bytes -> int -> int
+(** The offset one past the LEB128 value starting at [off].
+    @raise Invalid_argument when the varint runs past the end of [b]. *)

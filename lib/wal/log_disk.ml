@@ -82,7 +82,8 @@ let read_page t ~lsn k =
        mirror fallback; only a page unreadable from every mirror surfaces
        here as [Unreadable].  A younger page legitimately occupying the
        slot passes the CRC on both mirrors and is reported [Stale_slot].
-       The accepted image is decoded without a second CRC pass. *)
+       Only the accepted image's header is decoded, without a second CRC
+       pass; its records stay in the image for the replay kernel. *)
     Mrdb_hw.Duplex.read_page t.duplex ~page:(slot t lsn)
       ~verify:(Log_page.verify ~page_bytes:(page_bytes t))
       (function
@@ -90,10 +91,10 @@ let read_page t ~lsn k =
         | Ok image -> (
             match Log_page.decode ~page_bytes:(page_bytes t) ~dir_size:(dir_size t) image with
             | Error e -> k (Error (Unreadable { lsn; reason = e }))
-            | Ok (header, records) ->
+            | Ok ((header, _) as page) ->
                 if header.Log_page.lsn <> lsn then
                   k (Error (Stale_slot { wanted = lsn; found = header.Log_page.lsn }))
-                else k (Ok (header, records))))
+                else k (Ok page)))
 
 let install_page t ~lsn image =
   if Bytes.length image <> page_bytes t then

@@ -65,10 +65,11 @@ val set_tap : t -> (lsn:int64 -> bytes -> unit) -> unit
 
 val read_page :
   t -> lsn:int64 ->
-  ((Log_page.header * Log_record.t list, read_error) result -> unit) -> unit
-(** Read, checksum-verify (with mirror fallback) and decode the page at
-    [lsn].  The CRC runs once per page, inside the duplex read; the
-    accepted image is decoded with {!Log_page.decode}. *)
+  ((Log_page.header * Log_page.frames, read_error) result -> unit) -> unit
+(** Read and checksum-verify (with mirror fallback) the page at [lsn],
+    then decode its header.  The CRC runs once per page, inside the
+    duplex read; the accepted image is handed on with {!Log_page.decode},
+    its records left in place as frames. *)
 
 val install_page : t -> lsn:int64 -> bytes -> unit
 (** Untimed atomic page install at [lsn]'s window slot on every live

@@ -55,19 +55,19 @@ let build ~page_bytes ~dir_size ~lsn ~(part : Addr.partition) ~prev_lsn ~dir ~pa
   finish page;
   page
 
-let iter_frames b ~pos ~used ~f =
-  let stop = pos + used in
+type frames = { buf : bytes; pos : int; len : int }
+
+let iter_frames { buf; pos; len } ~f =
+  let stop = pos + len in
   let p = ref pos in
   while !p + 2 <= stop do
-    let len = Mrdb_util.Codec.get_u16 b !p in
-    f (Log_record.decode_at b ~pos:(!p + 2) ~len);
-    p := !p + 2 + len
+    let n = Mrdb_util.Codec.get_u16 buf !p in
+    if !p + 2 + n > stop then
+      Mrdb_util.Fatal.invariantf ~mod_:"Log_page" "frame of %d bytes at %d overruns payload end %d"
+        n !p stop;
+    f buf ~pos:(!p + 2) ~len:n;
+    p := !p + 2 + n
   done
-
-let parse_frames b ~used =
-  let records = ref [] in
-  iter_frames b ~pos:0 ~used ~f:(fun r -> records := r :: !records);
-  List.rev !records
 
 (* Integrity check only (size + magic + CRC), no decoding: the acceptance
    predicate of checksum-verified duplex reads, so the mirror-fallback
@@ -101,23 +101,14 @@ let decode ~page_bytes ~dir_size b =
     let dir =
       Array.init dir_len (fun i -> Mrdb_util.Codec.get_i64 b (fixed_header + (8 * i)))
     in
-    (* Decode the framed records in place from the page buffer — the
-       replay path never materializes a separate payload copy. *)
-    let records = ref [] in
-    match iter_frames b ~pos:(payload_off ~dir_size) ~used ~f:(fun r -> records := r :: !records) with
-    | () -> Ok ({ lsn; part; prev_lsn; dir; nrecords; used }, List.rev !records)
-    | exception Mrdb_util.Fatal.Invariant { mod_; what } ->
-        Error (Printf.sprintf "record decode: %s: %s" mod_ what)
+    (* Only the header is decoded: the records stay in the page buffer
+       until the replay kernel applies them in place. *)
+    Ok
+      ( { lsn; part; prev_lsn; dir; nrecords; used },
+        { buf = b; pos = payload_off ~dir_size; len = used } )
   end
 
 let parse ~page_bytes ~dir_size b =
   match check ~page_bytes b with
   | Error _ as e -> e
   | Ok () -> decode ~page_bytes ~dir_size b
-
-let frame_record r =
-  let payload = Log_record.encode r in
-  let framed = Bytes.create (2 + Bytes.length payload) in
-  Mrdb_util.Codec.put_u16 framed 0 (Bytes.length payload);
-  Bytes.blit payload 0 framed 2 (Bytes.length payload);
-  framed

@@ -57,29 +57,28 @@ val verify : page_bytes:int -> bytes -> bool
     duplexed reads use to decide whether a mirror's copy is intact
     ({!Mrdb_hw.Duplex.read_page}'s [verify]). *)
 
-val decode : page_bytes:int -> dir_size:int -> bytes -> (header * Log_record.t list, string) result
-(** Decode a page that {!verify} has already accepted, without checking
-    its CRC again: the log-disk read path checksums each page exactly once,
-    at the duplex level.  The image must be [page_bytes] long.  [Error]
-    reports a directory or payload overflow or a malformed record frame. *)
+(** A run of u16-framed REDO records, read in place: the payload region
+    of a verified page image, or a copy of a bin buffer.  The recovery
+    read path hands these to the replay kernel instead of decoded
+    records. *)
+type frames = { buf : bytes; pos : int; len : int }
 
-val parse : page_bytes:int -> dir_size:int -> bytes -> (header * Log_record.t list, string) result
+val decode :
+  page_bytes:int -> dir_size:int -> bytes -> (header * frames, string) result
+(** Decode the header of a page that {!verify} has already accepted,
+    without checking its CRC again: the log-disk read path checksums each
+    page exactly once, at the duplex level.  The records are not decoded;
+    the returned frames point into the image.  The image must be
+    [page_bytes] long.  [Error] reports a directory or payload overflow. *)
+
+val parse :
+  page_bytes:int -> dir_size:int -> bytes -> (header * frames, string) result
 (** {!verify} then {!decode}, for images no duplex read has checked (the
     stable-memory shadow of an in-flight page, a standby's raw peeks).
     [Error] explains the mismatch (torn page, wrong partition slot reuse,
     etc.). *)
 
-val frame_record : Log_record.t -> bytes
-(** u16 length prefix + encoded record, as stored in bin buffers, SLB
-    blocks and page payloads.  Allocating convenience — the hot append
-    paths frame records into reusable scratch buffers instead
-    ({!Log_record.encode_into}). *)
-
-val iter_frames : bytes -> pos:int -> used:int -> f:(Log_record.t -> unit) -> unit
-(** Stream the u16-framed records in [b.[pos .. pos+used)] through [f],
-    decoding each in place ({!Log_record.decode_at}) — no per-record or
-    per-payload copies.
-    @raise Mrdb_util.Fatal.Invariant on a malformed frame. *)
-
-val parse_frames : bytes -> used:int -> Log_record.t list
-(** [iter_frames] at [pos:0], materialized as a list (recovery paths). *)
+val iter_frames : frames -> f:(bytes -> pos:int -> len:int -> unit) -> unit
+(** Hand each framed record to [f] as ([buf], offset of the encoded
+    record, its length), in order — no decoding, no copies.
+    @raise Mrdb_util.Fatal.Invariant when a frame overruns the run. *)

@@ -48,18 +48,6 @@ let tag_of_byte = function
   | n when n >= cmd_tag_base -> Command_op
   | n -> Mrdb_util.Fatal.invariantf ~mod_:"Log_record" "bad tag %d" n
 
-let encode t =
-  let open Mrdb_util.Codec.Enc in
-  let enc = create () in
-  u8 enc (tag_byte t);
-  varint enc t.bin_index;
-  varint enc t.txn_id;
-  varint enc t.seq;
-  (match t.op with
-  | Physical op -> Part_op.encode enc op
-  | Command c -> Cmd_op.encode enc c);
-  to_bytes enc
-
 let encoded_size t =
   let open Mrdb_util.Codec in
   1 + varint_size t.bin_index + varint_size t.txn_id + varint_size t.seq
@@ -78,10 +66,10 @@ let encode_into t b ~pos =
   | Command c -> Cmd_op.encode_into c b ~pos
 
 (* Allocation-free field scans over an encoded record: the raw drain path
-   routes frames by bin index and sequence number without materializing a
-   record value.  All-int recursion — no refs, no tuples.  The header
-   layout is shared by both record families, so the scans are
-   tag-oblivious. *)
+   routes frames by bin index and sequence number, and the replay kernel
+   applies frames in place, without materializing a record value.  All-int
+   recursion — no refs, no tuples.  The header layout is shared by both
+   record families, so the scans are tag-oblivious. *)
 let rec skip_varint b pos =
   if Char.code (Bytes.unsafe_get b pos) < 0x80 then pos + 1
   else skip_varint b (pos + 1)
@@ -98,10 +86,25 @@ let peek_seq b ~pos =
   let p = skip_varint b p in
   read_varint b p 0 0
 
-(* Shared decode tail once the tag byte is in hand; [stop] is the
-   absolute frame end (commands parse their arguments up to it). *)
-let decode_body dec ~byte ~stop =
+let is_command b ~pos = Char.code (Bytes.get b pos) >= cmd_tag_base
+
+let body_at b ~pos =
+  ignore (tag_of_byte (Char.code (Bytes.get b pos)) : tag);
+  skip_varint b (skip_varint b (skip_varint b (pos + 1)))
+
+let command_at b ~pos ~len =
+  let byte = Char.code (Bytes.get b pos) in
+  if byte < cmd_tag_base then
+    Mrdb_util.Fatal.invariantf ~mod_:"Log_record" "command_at: physical tag %d" byte;
+  Cmd_op.decode ~op_id:(byte - cmd_tag_base)
+    (Mrdb_util.Codec.Dec.of_bytes ~pos:(body_at b ~pos) b)
+    ~stop:(pos + len)
+
+let decode_at b ~pos:start ~len =
   let open Mrdb_util.Codec.Dec in
+  let stop = start + len in
+  let dec = of_bytes ~pos:start b in
+  let byte = u8 dec in
   let tag = tag_of_byte byte in
   let bin_index = varint dec in
   let txn_id = varint dec in
@@ -111,26 +114,10 @@ let decode_body dec ~byte ~stop =
     | Command_op -> Command (Cmd_op.decode ~op_id:(byte - cmd_tag_base) dec ~stop)
     | Relation_op | Index_op | Catalog_op -> Physical (Part_op.decode dec)
   in
-  { tag; bin_index; txn_id; seq; op }
-
-let decode b =
-  let open Mrdb_util.Codec.Dec in
-  let dec = of_bytes b in
-  let r = decode_body dec ~byte:(u8 dec) ~stop:(Bytes.length b) in
-  if not (at_end dec) then
-    Mrdb_util.Fatal.invariantf ~mod_:"Log_record"
-      "decode: %d trailing bytes" (remaining dec);
-  r
-
-let decode_at b ~pos ~len =
-  let start = pos in
-  let dec = Mrdb_util.Codec.Dec.of_bytes ~pos b in
-  let open Mrdb_util.Codec.Dec in
-  let r = decode_body dec ~byte:(u8 dec) ~stop:(start + len) in
-  if pos dec <> start + len then
+  if pos dec <> stop then
     Mrdb_util.Fatal.invariantf ~mod_:"Log_record"
       "decode_at: frame length %d but consumed %d" len (pos dec - start);
-  r
+  { tag; bin_index; txn_id; seq; op }
 
 let equal_body a b =
   match (a, b) with

@@ -48,11 +48,6 @@ val make_cmd :
   bin_index:int -> txn_id:int -> seq:int -> cmd:Mrdb_logical.Cmd_op.t -> t
 (** A command record (tag [Command_op]). *)
 
-val encode : t -> bytes
-val decode : bytes -> t
-(** @raise Mrdb_util.Fatal.Invariant on malformed input (bad tag byte,
-    truncated fields, or trailing bytes). *)
-
 val encoded_size : t -> int
 (** Bytes the record occupies in the Stable Log Buffer and log pages —
     the paper's [S_log_record].  Computed arithmetically, no allocation. *)
@@ -60,18 +55,18 @@ val encoded_size : t -> int
 val encode_into : t -> bytes -> pos:int -> int
 (** Serialize at [pos] into a caller-owned scratch buffer and return the
     offset one past the last byte written, [pos + encoded_size t].
-    Byte-identical to {!encode} (locked by the golden equivalence test);
-    this is the zero-copy append path — the caller reserves
-    [encoded_size t] bytes and issues a single stable-memory write of the
-    frame. *)
+    Byte-identical to the Enc-based reference encoder kept in the tests
+    (locked by the golden equivalence test); this is the zero-copy append
+    path — the caller reserves [encoded_size t] bytes and issues a single
+    stable-memory write of the frame. *)
 
 val decode_at : bytes -> pos:int -> len:int -> t
 (** Decode the [len]-byte record frame payload starting at [pos], in
-    place — no intermediate [Bytes.sub].  The streaming drain and log-page
-    replay paths use this against a reusable read buffer.  Command
-    arguments carry no count and parse up to the frame end.
-    @raise Mrdb_util.Fatal.Invariant when the encoding does not consume
-    exactly [len] bytes. *)
+    place — no intermediate [Bytes.sub].  The SLB's record-level drain
+    uses this against its reusable read buffer.  Command arguments carry
+    no count and parse up to the frame end.
+    @raise Mrdb_util.Fatal.Invariant on a bad tag byte or when the
+    encoding does not consume exactly [len] bytes. *)
 
 val peek_bin_index : bytes -> pos:int -> int
 (** Read just the bin index out of an encoded record starting at [pos] —
@@ -80,7 +75,28 @@ val peek_bin_index : bytes -> pos:int -> int
 
 val peek_seq : bytes -> pos:int -> int
 (** Read just the per-partition sequence number out of an encoded record
-    starting at [pos], allocation-free (skips tag, bin index, txn id). *)
+    starting at [pos], allocation-free (skips tag, bin index, txn id).
+    The replay kernel filters on it before touching the operation. *)
+
+(** {2 In-place replay access}
+
+    The replay kernel applies frames straight from log-page bytes: a
+    physical operation is applied with {!Mrdb_storage.Part_op.apply_encoded}
+    at {!body_at}; a command is decoded with {!command_at}. *)
+
+val is_command : bytes -> pos:int -> bool
+(** Whether the encoded record at [pos] is a command record (tag byte
+    >= 16). *)
+
+val body_at : bytes -> pos:int -> int
+(** Offset of the operation body of the encoded record at [pos], past the
+    shared header (tag, bin index, txn id, sequence number).
+    @raise Mrdb_util.Fatal.Invariant on a reserved tag byte. *)
+
+val command_at : bytes -> pos:int -> len:int -> Mrdb_logical.Cmd_op.t
+(** Decode the command carried by the [len]-byte encoded record at [pos].
+    @raise Mrdb_util.Fatal.Invariant on a physical record or a command
+    body that does not end exactly at the frame end. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -454,18 +454,21 @@ let restore_cut t =
     persist t
   end
 
+(* A generation's buffered frames, copied out of stable memory at call
+   time (later appends do not show through). *)
 let read_buffer t chain =
-  if chain.buf_block < 0 || chain.buf_nrecords = 0 then []
-  else begin
-    let payload =
-      Mrdb_hw.Stable_mem.read (mem t) ~off:(chain_buf_off t chain)
-        ~len:chain.buf_used
-    in
-    Log_page.parse_frames payload ~used:chain.buf_used
-  end
+  if chain.buf_block < 0 || chain.buf_nrecords = 0 then None
+  else
+    Some
+      {
+        Log_page.buf =
+          Mrdb_hw.Stable_mem.read (mem t) ~off:(chain_buf_off t chain) ~len:chain.buf_used;
+        pos = 0;
+        len = chain.buf_used;
+      }
 
-let live_buffer_records t = read_buffer t t.live
-let shadow_buffer_records t = if t.has_shadow then read_buffer t t.shadow else []
+let live_buffer_frames t = read_buffer t t.live
+let shadow_buffer_frames t = if t.has_shadow then read_buffer t t.shadow else None
 
 let live_chain_spec t = (t.live.first_lsn, Array.to_list t.live.dir)
 

@@ -84,9 +84,10 @@ val shadow_first_lsn : t -> int64
 val shadow_directory : t -> int64 array
 val shadow_buffered_records : t -> int
 
-val live_buffer_records : t -> Log_record.t list
-val shadow_buffer_records : t -> Log_record.t list
-(** Decode the staged frames of each generation's buffer. *)
+val live_buffer_frames : t -> Log_page.frames option
+val shadow_buffer_frames : t -> Log_page.frames option
+(** A copy of each generation's buffered record frames, undecoded;
+    [None] when the buffer is empty. *)
 
 val live_chain_spec : t -> int64 * int64 list
 (** (first LSN, current span) of the live generation — the inputs of the

@@ -309,13 +309,14 @@ let read_lsn t bin lsn k =
         Log_page.parse ~page_bytes:cfg.Stable_layout.log_page_bytes
           ~dir_size:cfg.Stable_layout.dir_size image
       with
-      | Ok (header, records) -> k (Ok (header, records))
+      | Ok page -> k (Ok page)
       | Error e ->
           k (Error (Log_disk.Unreadable { lsn; reason = "inflight image: " ^ e })))
   | None -> Log_disk.read_page t.log_disk ~lsn k
 
 (* Read one generation's chain (first LSN + current span) in original
-   write order, invoking [k] with its records.
+   write order, invoking [k] with each page's frames, oldest first.  Only
+   page headers are decoded here; the records stay in the page images.
 
    [allow_torn_tail]: the chain's {e final} page is the one a crash can
    tear mid-write.  Normally its stable-memory shadow serves the read
@@ -336,7 +337,7 @@ let read_chain t bin ?(allow_torn_tail = false) (first, current_span) k =
           true
       | _ -> false
     in
-    let span_cache : (int64, Log_record.t list) Hashtbl.t = Hashtbl.create 16 in
+    let span_cache : (int64, Log_page.frames) Hashtbl.t = Hashtbl.create 16 in
     (* Phase 1: walk spans backward until the span starting at [first]; the
        first page of each span embeds the previous span's directory. *)
     let rec collect_spans spans =
@@ -349,8 +350,8 @@ let read_chain t bin ?(allow_torn_tail = false) (first, current_span) k =
             read_lsn t bin oldest_span_head (fun result ->
                 match result with
                 | Error e -> k (Error e)
-                | Ok (header, records) ->
-                    Hashtbl.replace span_cache oldest_span_head records;
+                | Ok (header, frames) ->
+                    Hashtbl.replace span_cache oldest_span_head frames;
                     let prev_span = Array.to_list header.Log_page.dir in
                     if prev_span = [] then
                       k (Error (Log_disk.Unreadable
@@ -362,19 +363,19 @@ let read_chain t bin ?(allow_torn_tail = false) (first, current_span) k =
       let lsns = List.concat spans in
       let out = ref [] in
       let rec step = function
-        | [] -> k (Ok (List.concat (List.rev !out)))
+        | [] -> k (Ok (List.rev !out))
         | lsn :: rest -> (
             match Hashtbl.find_opt span_cache lsn with
-            | Some records ->
-                out := records :: !out;
+            | Some frames ->
+                out := frames :: !out;
                 step rest
             | None ->
                 read_lsn t bin lsn (fun result ->
                     match result with
                     | Error e when discard_torn lsn e -> step rest
                     | Error e -> k (Error e)
-                    | Ok (_, records) ->
-                        out := records :: !out;
+                    | Ok (_, frames) ->
+                        out := frames :: !out;
                         step rest))
       in
       step lsns
@@ -382,14 +383,15 @@ let read_chain t bin ?(allow_torn_tail = false) (first, current_span) k =
     collect_spans [ current_span ]
   end
 
-let records_for_recovery t part k =
+let frames_for_recovery t part k =
   match find_bin t part with
   | None -> k (Ok [])
   | Some bin -> (
       (* Replay order: shadow pages, shadow buffer, live pages, live
-         buffer — exactly the order the records were originally written. *)
-      let live_buffer = Partition_bin.live_buffer_records bin in
-      let shadow_buffer = Partition_bin.shadow_buffer_records bin in
+         buffer — exactly the order the records were originally written.
+         The buffers are copied now, before any disk read is issued. *)
+      let live_buffer = Option.to_list (Partition_bin.live_buffer_frames bin) in
+      let shadow_buffer = Option.to_list (Partition_bin.shadow_buffer_frames bin) in
       let finish shadow_pages live_pages =
         k (Ok (shadow_pages @ shadow_buffer @ live_pages @ live_buffer))
       in

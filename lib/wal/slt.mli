@@ -107,13 +107,16 @@ val window_pressure : t -> float
 (** Fraction of the log window consumed by the oldest active partition
     (1.0 = about to fall off). *)
 
-val records_for_recovery :
-  t -> Addr.partition -> ((Log_record.t list, string) result -> unit) -> unit
-(** Reassemble the partition's full record stream in original write order:
+val frames_for_recovery :
+  t -> Addr.partition -> ((Log_page.frames list, string) result -> unit) -> unit
+(** Gather the partition's full record stream in original write order:
     disk pages (located via the directory spans, read oldest-span-first,
     with in-flight stable images overlaying unreadable slots) followed by
-    the records still buffered in the bin.  Asynchronous: disk reads go
-    through the simulated clock. *)
+    the records still buffered in the bin — shadow pages, shadow buffer,
+    live pages, live buffer.  Each element is one page's or one buffer's
+    frames, undecoded: only page headers are read, for the LSN check and
+    the directory walk.  Asynchronous: disk reads go through the
+    simulated clock. *)
 
 val pending_page_writes : t -> int
 (** Seals issued whose disk writes have not yet completed. *)

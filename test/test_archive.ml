@@ -30,7 +30,7 @@ let test_latest_image_and_log_tail () =
   let a = Archive.create () in
   let part : Addr.partition = { Addr.segment = 1; partition = 0 } in
   let p = Partition.create ~size:512 ~segment:1 ~partition:0 in
-  let img w = { Mrdb_ckpt.Ckpt_image.part; watermark = w; snapshot = Partition.snapshot p } in
+  let img w = Mrdb_ckpt.Ckpt_image.make ~part ~watermark:w ~snapshot:(Partition.snapshot p) in
   Archive.on_ckpt_image a (img 5) ~page_bytes:512;
   Archive.on_ckpt_image a (img 9) ~page_bytes:512;
   (match Archive.latest_image a part with

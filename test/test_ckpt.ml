@@ -161,8 +161,8 @@ let test_image_roundtrip () =
   ignore (Partition.insert p (Bytes.of_string "hello"));
   let image =
     Ckpt_image.encode ~page_bytes:512
-      { Ckpt_image.part = { Addr.segment = 3; partition = 7 }; watermark = 42;
-        snapshot = Partition.snapshot p }
+      (Ckpt_image.make ~part:{ Addr.segment = 3; partition = 7 } ~watermark:42
+         ~snapshot:(Partition.snapshot p))
   in
   check int_t "page multiple" 0 (Bytes.length image mod 512);
   match Ckpt_image.decode image with
@@ -170,15 +170,15 @@ let test_image_roundtrip () =
   | Ok d ->
       check int_t "watermark" 42 d.Ckpt_image.watermark;
       check int_t "segment" 3 d.Ckpt_image.part.Addr.segment;
-      let p' = Partition.of_snapshot d.Ckpt_image.snapshot in
+      let p' = Ckpt_image.to_partition d in
       check bool_t "snapshot intact" true (Partition.equal_contents p p')
 
 let test_image_detects_corruption () =
   let p = Partition.create ~size:512 ~segment:0 ~partition:0 in
   let image =
     Ckpt_image.encode ~page_bytes:512
-      { Ckpt_image.part = Partition.address p; watermark = 0;
-        snapshot = Partition.snapshot p }
+      (Ckpt_image.make ~part:(Partition.address p) ~watermark:0
+         ~snapshot:(Partition.snapshot p))
   in
   Bytes.set image 100 '\x99';
   check bool_t "crc mismatch" true

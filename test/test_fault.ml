@@ -301,7 +301,7 @@ let mk_record ?(txn = 1) ?(seq = 1) () =
 let page_image ~lsn =
   let records = List.init 3 (fun i -> mk_record ~seq:(i + 1) ()) in
   let payload =
-    Bytes.concat Bytes.empty (List.map Log_page.frame_record records)
+    Bytes.concat Bytes.empty (List.map Redo_oracle.frame_record records)
   in
   Log_page.build ~page_bytes:512 ~dir_size:3 ~lsn ~part:part_a
     ~prev_lsn:(Int64.pred lsn) ~dir:[| 10L; 11L; 12L |] ~payload ~nrecords:3
@@ -323,9 +323,9 @@ let test_log_disk_one_corrupt_copy_invisible () =
   Log_disk.read_page ld ~lsn (fun r -> result := Some r);
   Sim.run sim;
   (match !result with
-  | Some (Ok (header, records)) ->
+  | Some (Ok ((header, _) as page)) ->
       check i64_t "right page" lsn header.Log_page.lsn;
-      check int_t "records decoded" 3 (List.length records)
+      check int_t "records decoded" 3 (List.length (Redo_oracle.page_records page))
   | Some (Error e) -> Alcotest.fail (Log_disk.read_error_to_string e)
   | None -> Alcotest.fail "no result");
   check bool_t "checksum failure counted" true
@@ -395,7 +395,7 @@ let test_torn_tail_page_discarded () =
       ()
   in
   let result = ref None in
-  Slt.records_for_recovery slt' part_a (fun r -> result := Some r);
+  Redo_oracle.records_for_recovery slt' part_a (fun r -> result := Some r);
   Sim.run sim;
   (match !result with
   | Some (Ok records) ->
@@ -450,7 +450,7 @@ let test_torn_middle_page_still_fails () =
       ()
   in
   let result = ref None in
-  Slt.records_for_recovery slt' part_a (fun r -> result := Some r);
+  Redo_oracle.records_for_recovery slt' part_a (fun r -> result := Some r);
   Sim.run sim;
   match !result with
   | Some (Error _) -> ()

@@ -96,17 +96,17 @@ let test_record_tag_fold () =
       ~op:(Part_op.Update { slot = 1; data = Bytes.of_string "xy" })
   in
   check int_t "physical tag byte unchanged" 0
-    (Char.code (Bytes.get (Log_record.encode phys) 0));
+    (Char.code (Bytes.get (Redo_oracle.encode phys) 0));
   let cmd = Cmd_op.make ~op_id:9 ~rel_id:3 ~key:5 ~args:[| 7L |] in
   let r = mk_cmd_record ~seq:6 cmd in
-  let b = Log_record.encode r in
+  let b = Redo_oracle.encode r in
   (* op 9 rides the tag byte: 16 + 9.  The shared header keeps the peek
      scans family-oblivious. *)
   check int_t "command tag byte folds the op id" 25 (Char.code (Bytes.get b 0));
   check int_t "encoded_size" (Bytes.length b) (Log_record.encoded_size r);
   check int_t "peek_bin_index" 4 (Log_record.peek_bin_index b ~pos:0);
   check int_t "peek_seq" 6 (Log_record.peek_seq b ~pos:0);
-  check bool_t "roundtrip" true (Log_record.equal r (Log_record.decode b));
+  check bool_t "roundtrip" true (Log_record.equal r (Redo_oracle.decode b));
   check bool_t "decode_at roundtrip" true
     (Log_record.equal r (Log_record.decode_at b ~pos:0 ~len:(Bytes.length b)))
 
@@ -114,18 +114,19 @@ let test_record_tag_fold () =
    [Failure]. *)
 let test_malformed_decode_raises_structured () =
   raises_invariant "reserved tag byte" (fun () ->
-      Log_record.decode (Bytes.of_string "\003\001\001\001"));
+      Log_record.decode_at (Bytes.of_string "\003\001\001\001") ~pos:0 ~len:4);
   let phys =
     Log_record.make ~tag:Log_record.Relation_op ~bin_index:1 ~txn_id:1 ~seq:1
       ~op:(Part_op.Delete { slot = 3 })
   in
-  let b = Log_record.encode phys in
+  let b = Redo_oracle.encode phys in
   raises_invariant "trailing bytes" (fun () ->
-      Log_record.decode (Bytes.cat b (Bytes.make 1 '\000')));
+      Log_record.decode_at (Bytes.cat b (Bytes.make 1 '\000')) ~pos:0
+        ~len:(Bytes.length b + 1));
   (* A multi-byte zigzag varint cut by the frame end: the argument parse
      overruns [stop] and must be reported, not read into the next frame. *)
   let cmd = Cmd_op.make ~op_id:3 ~rel_id:1 ~key:1 ~args:[| 1_000_000L |] in
-  let cb = Log_record.encode (mk_cmd_record ~seq:1 cmd) in
+  let cb = Redo_oracle.encode (mk_cmd_record ~seq:1 cmd) in
   raises_invariant "argument varint straddling the frame end" (fun () ->
       ignore (Log_record.decode_at cb ~pos:0 ~len:(Bytes.length cb - 1)))
 

@@ -410,6 +410,143 @@ let test_graph_series_shapes () =
   check bool_t "g3 worst above best everywhere" true
     (List.for_all (fun (_, ys) -> List.nth ys 1 > List.nth ys 0) g3)
 
+(* -- replay kernel vs the list-based oracle ---------------------------------- *)
+
+(* A random REDO stream for one partition of an all-Int relation, mixing
+   physical and command records, every operation valid against the state
+   built by its predecessors.  The stream is split across log pages (page
+   images decoded to their payload frames) and a bin-buffer tail, and the
+   watermark falls somewhere inside it: the base image holds the records
+   at or below it.  [Restorer.replay] must then leave exactly the
+   partition the list oracle ([Redo_oracle.apply_records]) does, with the
+   same max seq, through the relation layer and without it. *)
+let kernel_schema =
+  Schema.of_list [ ("a", Schema.Int); ("b", Schema.Int); ("c", Schema.Int) ]
+
+let kernel_rel_id = 3
+let kernel_seg = 7
+let kernel_part_bytes = 2048
+let kernel_slots = 16
+
+let row v = Tuple.encode kernel_schema [| Schema.I v; Schema.I (Int64.neg v); Schema.I 7L |]
+
+(* Interpret (kind, slot hint, value) triples against a model of the live
+   slots, so every record applies cleanly in order. *)
+let kernel_stream choices =
+  let live = Array.make kernel_slots false in
+  let pick_live s =
+    let rec go i = if i = kernel_slots then None
+      else let k = (s + i) mod kernel_slots in if live.(k) then Some k else go (i + 1) in
+    go 0
+  and pick_free s =
+    let rec go i = if i = kernel_slots then None
+      else let k = (s + i) mod kernel_slots in if live.(k) then go (i + 1) else Some k in
+    go 0
+  in
+  List.mapi
+    (fun i (kind, s, v) ->
+      let seq = i + 1 and v64 = Int64.of_int (v - 500) in
+      let cmd op_id key args =
+        Mrdb_wal.Log_record.make_cmd ~bin_index:0 ~txn_id:seq ~seq
+          ~cmd:(Mrdb_logical.Cmd_op.make ~op_id ~rel_id:kernel_rel_id ~key ~args)
+      and phys op =
+        Mrdb_wal.Log_record.make ~tag:Mrdb_wal.Log_record.Relation_op ~bin_index:0
+          ~txn_id:seq ~seq ~op
+      in
+      match (kind, pick_live s, pick_free s) with
+      | (0 | 1), _, Some slot | _, None, Some slot ->
+          live.(slot) <- true;
+          if kind = 0 then phys (Part_op.Insert { slot; data = row v64 })
+          else cmd Mrdb_logical.Replay.op_insert_ints slot [| v64; 1L; 2L |]
+      | 2, Some slot, _ -> phys (Part_op.Update { slot; data = row v64 })
+      | 3, Some slot, _ ->
+          live.(slot) <- false;
+          phys (Part_op.Delete { slot })
+      | 4, Some slot, _ ->
+          live.(slot) <- false;
+          cmd Mrdb_logical.Replay.op_delete slot [||]
+      | 5, Some slot, _ -> cmd (Mrdb_logical.Replay.op_add_col0 + (v mod 3)) slot [| v64 |]
+      | 6, Some slot, _ -> cmd (Mrdb_logical.Replay.op_set_col0 + (v mod 3)) slot [| v64 |]
+      | _, Some slot, _ -> cmd Mrdb_logical.Replay.op_add_i64 slot [| Int64.of_int (v mod 3); v64 |]
+      | _, None, None -> assert false)
+    choices
+
+(* Frame the records and cut them into page payloads of at most [cuts]
+   records each (and page capacity), the remainder forming the buffer
+   tail. *)
+let kernel_frames records ~cuts =
+  let page_bytes = 512 and dir_size = 3 in
+  let capacity = Mrdb_wal.Log_page.payload_capacity ~page_bytes ~dir_size in
+  let page payload nrecords =
+    let image =
+      Mrdb_wal.Log_page.build ~page_bytes ~dir_size ~lsn:0L
+        ~part:{ Addr.segment = kernel_seg; partition = 0 } ~prev_lsn:(-1L) ~dir:[||]
+        ~payload ~nrecords
+    in
+    match Mrdb_wal.Log_page.decode ~page_bytes ~dir_size image with
+    | Ok (_, frames) -> frames
+    | Error e -> Alcotest.fail e
+  in
+  let rec go acc records cuts =
+    match (records, cuts) with
+    | [], _ -> List.rev acc
+    | _, [] ->
+        let tail = Redo_oracle.frame_records records in
+        List.rev ({ Mrdb_wal.Log_page.buf = tail; pos = 0; len = Bytes.length tail } :: acc)
+    | _, n :: cuts ->
+        let rec take k used taken = function
+          | r :: rest when k > 0 && used + Bytes.length (Redo_oracle.frame_record r) <= capacity ->
+              take (k - 1) (used + Bytes.length (Redo_oracle.frame_record r)) (r :: taken) rest
+          | rest -> (List.rev taken, rest)
+        in
+        let on_page, rest = take (max 1 n) 0 [] records in
+        go (page (Redo_oracle.frame_records on_page) (List.length on_page) :: acc) rest cuts
+  in
+  go [] records cuts
+
+let kernel_relation partition =
+  let seg = Segment.create ~id:kernel_seg ~partition_bytes:kernel_part_bytes in
+  Segment.install seg partition;
+  Relation.create ~id:kernel_rel_id ~name:"t" ~schema:kernel_schema ~segment:seg
+
+let prop_kernel_matches_oracle ~with_rel =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 60) (triple (int_bound 7) (int_bound 15) (int_bound 1000)))
+        (float_bound_inclusive 1.0)
+        (list_size (int_bound 6) (int_range 1 14)))
+  in
+  QCheck.Test.make ~count:300
+    ~name:(if with_rel then "kernel == list oracle (relation target)"
+           else "kernel == list oracle (partition target)")
+    (QCheck.make gen)
+    (fun (choices, wfrac, cuts) ->
+      let records = kernel_stream choices in
+      let watermark = int_of_float (wfrac *. float_of_int (List.length records)) in
+      let base = Partition.create ~size:kernel_part_bytes ~segment:kernel_seg ~partition:0 in
+      let imaged =
+        List.filter (fun (r : Mrdb_wal.Log_record.t) -> r.Mrdb_wal.Log_record.seq <= watermark) records
+      in
+      ignore
+        (Redo_oracle.apply_records ~partition:base ~rel:(kernel_relation base) ~watermark:0 imaged
+          : int);
+      let image = Partition.snapshot base in
+      let oracle = Partition.of_snapshot image and kernel = Partition.of_snapshot image in
+      let oracle_max =
+        Redo_oracle.apply_records ~partition:oracle
+          ?rel:(if with_rel then Some (kernel_relation oracle) else None)
+          ~watermark records
+      in
+      let replayed =
+        Mrdb_recovery.Restorer.replay ~partition:kernel
+          ?rel:(if with_rel then Some (lazy (kernel_relation kernel)) else None)
+          ~watermark (kernel_frames records ~cuts)
+      in
+      replayed.Mrdb_recovery.Restorer.max_seq = oracle_max
+      && replayed.Mrdb_recovery.Restorer.frames = List.length records
+      && Bytes.equal (Partition.snapshot kernel) (Partition.snapshot oracle))
+
 let () =
   Alcotest.run "mrdb_recovery+analysis"
     [
@@ -456,6 +593,12 @@ let () =
           Alcotest.test_case "partition estimate" `Quick test_recovery_model_partition;
           Alcotest.test_case "level comparison" `Quick test_recovery_model_comparison;
         ] );
+      ( "replay kernel",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_kernel_matches_oracle ~with_rel:false;
+            prop_kernel_matches_oracle ~with_rel:true;
+          ] );
       ( "codec_model",
         [ Alcotest.test_case "tradeoff shapes" `Quick test_codec_model_shapes ] );
       ( "params",

@@ -149,9 +149,9 @@ let test_partition_delete () =
 let test_partition_update_in_place_and_grow () =
   let p = mk_part () in
   let slot = Option.get (Partition.insert p (Bytes.of_string "abcdef")) in
-  Partition.update_at p ~slot (Bytes.of_string "xyz");
+  Partition.update_at p ~slot (Bytes.of_string "xyz") ~pos:0 ~len:3;
   check Alcotest.string "shrunk" "xyz" (Bytes.to_string (Partition.read_exn p ~slot));
-  Partition.update_at p ~slot (Bytes.of_string (String.make 100 'q'));
+  Partition.update_at p ~slot (Bytes.of_string (String.make 100 'q')) ~pos:0 ~len:100;
   check int_t "grown" 100 (Bytes.length (Partition.read_exn p ~slot))
 
 let test_partition_fills_up () =
@@ -207,7 +207,8 @@ let test_partition_snapshot_rejects_garbage () =
 let test_partition_update_failure_preserves_entity () =
   let p = Partition.create ~size:256 ~segment:0 ~partition:0 in
   let slot = Option.get (Partition.insert p (Bytes.of_string "keepme")) in
-  (try Partition.update_at p ~slot (Bytes.make 10_000 'x') with Partition.No_space _ -> ());
+  (try Partition.update_at p ~slot (Bytes.make 10_000 'x') ~pos:0 ~len:10_000
+   with Partition.No_space _ -> ());
   check Alcotest.string "old value intact" "keepme"
     (Bytes.to_string (Partition.read_exn p ~slot))
 
@@ -242,7 +243,7 @@ let prop_partition_replay_equivalence =
                with Exit -> ());
               Option.iter
                 (fun slot ->
-                  Partition.update_at live ~slot payload;
+                  Partition.update_at live ~slot payload ~pos:0 ~len:(Bytes.length payload);
                   log := Part_op.Update { slot; data = payload } :: !log)
                 !target
           | _ ->
@@ -319,7 +320,7 @@ let prop_partition_directory_model =
                 Partition.is_live !p ~slot
                 || refused_iff
                      (oracle_room !p ~nslots:(max n (slot + 1)) >= len)
-                     (fun () -> Partition.insert_at !p ~slot (payload len))
+                     (fun () -> Partition.insert_at !p ~slot (payload len) ~pos:0 ~len)
             | 3 | 4 -> (
                 match pick_live k with
                 | None -> true
@@ -328,7 +329,7 @@ let prop_partition_directory_model =
                     let len = if kind = 3 then 1 + (len mod old_len) else old_len + len in
                     refused_iff
                       (len <= old_len || oracle_room !p ~nslots:n + old_len >= len)
-                      (fun () -> Partition.update_at !p ~slot (payload len)))
+                      (fun () -> Partition.update_at !p ~slot (payload len) ~pos:0 ~len))
             | 5 ->
                 Option.iter (fun slot -> Partition.delete_at !p ~slot) (pick_live k);
                 true

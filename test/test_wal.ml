@@ -42,7 +42,7 @@ let test_record_roundtrip () =
     Log_record.make ~tag:Log_record.Index_op ~bin_index:42 ~txn_id:7 ~seq:99
       ~op:(Part_op.Update { slot = 3; data = Bytes.of_string "xyz" })
   in
-  check bool_t "roundtrip" true (Log_record.equal r (Log_record.decode (Log_record.encode r)));
+  check bool_t "roundtrip" true (Log_record.equal r (Redo_oracle.decode (Redo_oracle.encode r)));
   check bool_t "size positive" true (Log_record.encoded_size r > 0)
 
 let test_record_small_updates_are_small () =
@@ -83,7 +83,7 @@ let prop_record_codec_equivalence =
   QCheck.Test.make ~name:"zero-copy codec == reference codec" ~count:500
     (QCheck.make ~print:(Format.asprintf "%a" Log_record.pp) gen_record)
     (fun r ->
-      let reference = Log_record.encode r in
+      let reference = Redo_oracle.encode r in
       let size = Log_record.encoded_size r in
       (* Frame the record mid-buffer so position handling is exercised. *)
       let pad = 7 in
@@ -93,19 +93,19 @@ let prop_record_codec_equivalence =
       && stop = pad + size
       && Bytes.equal reference (Bytes.sub buf pad size)
       && Log_record.equal r (Log_record.decode_at buf ~pos:pad ~len:size)
-      && Log_record.equal r (Log_record.decode reference))
+      && Log_record.equal r (Redo_oracle.decode reference))
 
 (* -- Log_page ----------------------------------------------------------------- *)
 
 let test_page_roundtrip () =
   let records = List.init 5 (fun i -> mk_record ~seq:(i + 1) ~slot:i ()) in
-  let payload = Bytes.concat Bytes.empty (List.map Log_page.frame_record records) in
+  let payload = Bytes.concat Bytes.empty (List.map Redo_oracle.frame_record records) in
   let image =
     Log_page.build ~page_bytes:512 ~dir_size:3 ~lsn:17L ~part:part_a ~prev_lsn:16L
       ~dir:[| 10L; 11L; 12L |] ~payload ~nrecords:5
   in
   check int_t "image is page-sized" 512 (Bytes.length image);
-  match Log_page.parse ~page_bytes:512 ~dir_size:3 image with
+  match Redo_oracle.parse_page ~page_bytes:512 ~dir_size:3 image with
   | Error e -> Alcotest.fail e
   | Ok (header, records') ->
       check i64_t "lsn" 17L header.Log_page.lsn;
@@ -120,7 +120,7 @@ let test_page_roundtrip () =
 let test_page_detects_corruption () =
   let image =
     Log_page.build ~page_bytes:512 ~dir_size:3 ~lsn:1L ~part:part_a ~prev_lsn:(-1L)
-      ~dir:[||] ~payload:(Log_page.frame_record (mk_record ())) ~nrecords:1
+      ~dir:[||] ~payload:(Redo_oracle.frame_record (mk_record ())) ~nrecords:1
   in
   Bytes.set image 100 '\xFF';
   check bool_t "crc catches flip" true
@@ -303,7 +303,7 @@ let mk_log_disk ?(window = 8) () =
 
 let mk_image layout ~lsn ?(part = part_a) ?(prev = -1L) ?(dir = [||]) records =
   let cfg = Stable_layout.config layout in
-  let payload = Bytes.concat Bytes.empty (List.map Log_page.frame_record records) in
+  let payload = Bytes.concat Bytes.empty (List.map Redo_oracle.frame_record records) in
   Log_page.build ~page_bytes:cfg.Stable_layout.log_page_bytes
     ~dir_size:cfg.Stable_layout.dir_size ~lsn ~part ~prev_lsn:prev ~dir ~payload
     ~nrecords:(List.length records)
@@ -319,7 +319,8 @@ let test_log_disk_write_read () =
   Mrdb_sim.Sim.run sim;
   check bool_t "read ok" true
     (match !got with
-    | Some (Ok (h, [ _ ])) -> h.Log_page.lsn = lsn
+    | Some (Ok ((h, _) as page)) ->
+        h.Log_page.lsn = lsn && List.length (Redo_oracle.page_records page) = 1
     | _ -> false)
 
 let test_log_disk_window_reuse () =
@@ -378,10 +379,10 @@ let read_after_corrupting mirrors =
 let test_log_disk_primary_corrupt_falls_back () =
   let ld, got = read_after_corrupting [ `Primary ] in
   (match got with
-  | Some (Ok (h, records)) ->
+  | Some (Ok ((h, _) as page)) ->
       check i64_t "lsn" 0L h.Log_page.lsn;
       check (Alcotest.list int_t) "mirror's records" [ 1; 2; 3 ]
-        (List.map (fun r -> r.Log_record.seq) records)
+        (List.map (fun r -> r.Log_record.seq) (Redo_oracle.page_records page))
   | Some (Error e) -> Alcotest.fail (Log_disk.read_error_to_string e)
   | None -> Alcotest.fail "no result");
   check bool_t "checksum failure counted" true
@@ -617,7 +618,7 @@ let test_slt_records_for_recovery_roundtrip () =
   done;
   Mrdb_sim.Sim.run w.sim;
   let result = ref None in
-  Slt.records_for_recovery w.slt part_a (fun r -> result := Some r);
+  Redo_oracle.records_for_recovery w.slt part_a (fun r -> result := Some r);
   Mrdb_sim.Sim.run w.sim;
   match !result with
   | Some (Ok records) ->
@@ -636,7 +637,7 @@ let test_slt_recovery_includes_buffered_and_inflight () =
      records remain buffered.  Recovery must still see everything, reading
      in-flight pages from stable memory. *)
   let result = ref None in
-  Slt.records_for_recovery w.slt part_a (fun r -> result := Some r);
+  Redo_oracle.records_for_recovery w.slt part_a (fun r -> result := Some r);
   Mrdb_sim.Sim.run w.sim;
   match !result with
   | Some (Ok records) ->
@@ -677,7 +678,7 @@ let test_slt_torn_inflight_rejected () =
   in
   Mrdb_hw.Stable_mem.fill w.mem ~off:(off + Bytes.length image - 16) ~len:16 '\000';
   let result = ref None in
-  Slt.records_for_recovery w.slt part_a (fun r -> result := Some r);
+  Redo_oracle.records_for_recovery w.slt part_a (fun r -> result := Some r);
   Mrdb_sim.Sim.run w.sim;
   match !result with
   | Some (Error e) ->
@@ -716,7 +717,7 @@ let test_slt_survives_crash () =
   in
   check int_t "two active partitions" 2 (List.length (Slt.active_partitions slt'));
   let result = ref None in
-  Slt.records_for_recovery slt' part_a (fun r -> result := Some r);
+  Redo_oracle.records_for_recovery slt' part_a (fun r -> result := Some r);
   Mrdb_sim.Sim.run w.sim;
   (match !result with
   | Some (Ok records) ->
@@ -726,7 +727,7 @@ let test_slt_survives_crash () =
   | Some (Error e) -> Alcotest.fail e
   | None -> Alcotest.fail "no result");
   let result_b = ref None in
-  Slt.records_for_recovery slt' part_b (fun r -> result_b := Some r);
+  Redo_oracle.records_for_recovery slt' part_b (fun r -> result_b := Some r);
   Mrdb_sim.Sim.run w.sim;
   match !result_b with
   | Some (Ok records) -> check int_t "partition B buffered records" 7 (List.length records)
@@ -764,7 +765,7 @@ let test_cut_and_discard () =
   done;
   (* Recovery before the discard sees both generations in order. *)
   let result = ref None in
-  Slt.records_for_recovery w.slt part_a (fun r -> result := Some r);
+  Redo_oracle.records_for_recovery w.slt part_a (fun r -> result := Some r);
   Mrdb_sim.Sim.run w.sim;
   (match !result with
   | Some (Ok records) ->
@@ -777,7 +778,7 @@ let test_cut_and_discard () =
   Slt.checkpoint_finished w.slt part_a ~watermark:30;
   check bool_t "shadow gone" false (Partition_bin.has_shadow bin);
   let result2 = ref None in
-  Slt.records_for_recovery w.slt part_a (fun r -> result2 := Some r);
+  Redo_oracle.records_for_recovery w.slt part_a (fun r -> result2 := Some r);
   Mrdb_sim.Sim.run w.sim;
   match !result2 with
   | Some (Ok records) ->
@@ -810,7 +811,7 @@ let test_cut_survives_crash () =
   let bin = Option.get (Slt.find_bin slt' part_a) in
   check bool_t "shadow survives crash" true (Partition_bin.has_shadow bin);
   let result = ref None in
-  Slt.records_for_recovery slt' part_a (fun r -> result := Some r);
+  Redo_oracle.records_for_recovery slt' part_a (fun r -> result := Some r);
   Mrdb_sim.Sim.run w.sim;
   match !result with
   | Some (Ok records) ->
@@ -917,7 +918,7 @@ let prop_slt_pipeline_equivalence =
       done;
       Mrdb_sim.Sim.run sim;
       let result = ref None in
-      Slt.records_for_recovery !slt part_a (fun r -> result := Some r);
+      Redo_oracle.records_for_recovery !slt part_a (fun r -> result := Some r);
       Mrdb_sim.Sim.run sim;
       match !result with
       | Some (Ok records) ->
