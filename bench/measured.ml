@@ -95,6 +95,13 @@ let recovery_comparison ~relations ~rows =
     speedup = first_txn_full_reload_ms /. (catalog_only_ms +. first_txn_on_demand_ms);
   }
 
+(* Commit any set-up transactions still waiting in the group, then run
+   the clock dry, so a measured window starts with nothing of the set-up
+   pending: [Db.quiesce] alone does not flush a waiting group. *)
+let settle db =
+  Db.flush_group db;
+  Db.quiesce db
+
 type commit_row = {
   mode : string;
   txns : int;
@@ -108,14 +115,13 @@ let commit_mode_comparison ~txns =
     let db = Db.create ~config () in
     let w = Workload.Update_heavy.setup db ~rows:200 () in
     let rng = Mrdb_util.Rng.of_int 11 in
-    Db.quiesce db;
+    settle db;
     let t0 = Sim.now (Db.sim db) in
     let pages0 = Mrdb_wal.Log_disk.pages_written (Db.log_disk db) in
     for _ = 1 to txns do
       Workload.Update_heavy.run_one w db ~rng
     done;
-    Db.flush_group db;
-    Db.quiesce db;
+    settle db;
     {
       mode = name;
       txns;
@@ -159,26 +165,30 @@ let group_batch_sweep ~txns =
       let db = Db.create ~config () in
       let w = Workload.Update_heavy.setup db ~rows:200 () in
       let rng = Mrdb_util.Rng.of_int 11 in
-      Db.quiesce db;
+      settle db;
       let t0 = Sim.now (Db.sim db) in
       let stable_bytes () = Mrdb_hw.Stable_mem.bytes_written (Db.stable_mem db) in
       let b0 = stable_bytes () in
       let pages0 = Mrdb_wal.Log_disk.pages_written (Db.log_disk db) in
+      let commits () = Mrdb_sim.Trace.count (Db.trace db) "commits" in
+      let commits0 = commits () in
+      (* The histograms restart at [t0], so they hold the window alone. *)
+      let batches = Mrdb_obs.Obs.group_batch (Db.obs db) in
+      let wait = Mrdb_obs.Obs.group_commit_wait (Db.obs db) in
+      Mrdb_obs.Metrics.h_clear batches;
+      Mrdb_obs.Metrics.h_clear wait;
       for _ = 1 to txns do
         Workload.Update_heavy.run_one w db ~rng
       done;
-      Db.flush_group db;
-      Db.quiesce db;
+      settle db;
       let elapsed_us = Sim.now (Db.sim db) -. t0 in
       (* One flush per commit, less [n - 1] for every batch of [n] that
          had waiters (the only batches group_batch_txns samples). *)
-      let batches = Mrdb_obs.Obs.group_batch (Db.obs db) in
       let n = Mrdb_obs.Metrics.h_count batches in
       let batched =
         Float.to_int (Float.round (Mrdb_obs.Metrics.h_mean batches *. float_of_int n))
       in
-      let flushes = Mrdb_sim.Trace.count (Db.trace db) "commits" - (batched - n) in
-      let wait = Mrdb_obs.Obs.group_commit_wait (Db.obs db) in
+      let flushes = commits () - commits0 - (batched - n) in
       {
         batch_size;
         g_simulated_ms = elapsed_us /. 1000.0;

@@ -121,12 +121,15 @@ let () =
   let stale_fails = opts.check_baseline && stale <> [] in
   match (fresh, stale_fails) with
   | [], false ->
-      Printf.eprintf
-        "mrdb_lint: %s clean (R1 wild-write, R2 layering, R3 partiality, \
-         R4 sealed interfaces, R5 fault containment, R6 output discipline, \
-         R8 determinism, R9 ownership (incl. SLB regions), R10 \
-         structured raises, R11 allowlist hygiene)\n"
+      let rules =
+        List.map
+          (fun r ->
+            Mrdb_lint.Diag.rule_name r ^ " " ^ Mrdb_lint.Diag.rule_title r)
+          Mrdb_lint.Diag.all_rules
+      in
+      Printf.eprintf "mrdb_lint: %s clean (%s)\n"
         (String.concat " " lib_dirs)
+        (String.concat ", " rules)
   | _ ->
       if fresh <> [] then
         Printf.eprintf "mrdb_lint: %d new violation%s\n" (List.length fresh)

@@ -23,11 +23,6 @@ type codec_params = {
 val default : codec_params
 (** Values measured on the debit_credit codec sweep (BENCH.json). *)
 
-val logical_bytes_per_record : codec_params -> hotness:float -> float
-(** Average command-coded record size for a partition whose record mix is
-    [hotness] single-cell updates and [1 - hotness] inserts.
-    @raise Invalid_argument when [hotness] is outside [0,1]. *)
-
 val bytes_ratio : codec_params -> hotness:float -> float
 (** Physical bytes over command bytes at the given mix — the model's
     prediction of the sweep's log_bytes_per_txn ratio. *)
@@ -36,10 +31,6 @@ val crossover_hotness : codec_params -> margin:float -> float option
 (** Least update fraction where the byte ratio clears [margin]:
     [Some 0.] when any mix clears it, [None] when none does.
     @raise Invalid_argument when [margin <= 0]. *)
-
-val i_replay_physical : Params.t -> codec_params -> float
-val i_replay_command : Params.t -> codec_params -> float
-(** Recovery-CPU instructions to replay one record of each family. *)
 
 val replay_rate_ratio : Params.t -> codec_params -> cmd_share:float -> float
 (** Predicted replay records/sec relative to an all-physical stream when

@@ -18,7 +18,6 @@ val i_page_write : Params.t -> float
 (** Instructions per bin-page flush, including the amortized checkpoint
     signalling (one signal per [n_update] records). *)
 
-val instructions_per_byte : Params.t -> float
 val bytes_logged_per_s : Params.t -> float
 (** R_bytes_logged = P_recovery / instructions-per-byte. *)
 

@@ -47,5 +47,3 @@ val cancel : t -> Addr.partition -> unit
 
 val pending : t -> int
 (** Entries not yet finished. *)
-
-val is_queued : t -> Addr.partition -> bool

@@ -10,7 +10,6 @@ let create ~capacity_pages =
 
 let capacity_pages t = Mrdb_util.Bitset.length t.used
 let used_pages t = t.used_count
-let free_pages t = capacity_pages t - t.used_count
 let head t = t.head
 let is_used t ~page = Mrdb_util.Bitset.mem t.used page
 

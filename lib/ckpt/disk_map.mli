@@ -21,7 +21,6 @@ type t
 val create : capacity_pages:int -> t
 
 val capacity_pages : t -> int
-val free_pages : t -> int
 val used_pages : t -> int
 val head : t -> int
 (** Current scan position of the pseudo-circular queue. *)
@@ -34,10 +33,6 @@ val allocate : t -> pages:int -> int option
 val release : t -> page:int -> pages:int -> unit
 (** Free a run (the old image, after the new one is installed).
     @raise Invalid_argument when any page in the run is not allocated. *)
-
-val mark_used : t -> page:int -> pages:int -> unit
-(** Recovery-time rebuild: mark a run as live.
-    @raise Invalid_argument when any page is already used. *)
 
 val is_used : t -> page:int -> bool
 

@@ -224,8 +224,6 @@ let process_checkpoints t =
   flush_pending t v;
   Ckpt_mgr.process (ckpt_mgr t)
 
-let pending_checkpoints t = Ckpt_queue.pending (vol t).ckpt_q
-
 let checkpoint_partition t part =
   let v = vol t in
   flush_pending t v;

@@ -49,7 +49,11 @@ val obs : t -> Mrdb_obs.Obs.t
     survives crashes — the flight recorder keeps its pre-crash events. *)
 
 val quiesce : t -> unit
-(** Run the simulated clock until all in-flight device work completes. *)
+(** Run the simulated clock until all in-flight device work completes.
+    It does not flush a waiting commit group: only an armed group
+    timeout fires on the clock, so with [timeout_us = 0] transactions
+    parked by {!commit} stay uncommitted until a full batch or
+    {!flush_group} closes the group.  Settle with [flush_group] first. *)
 
 (** {2 DDL (system transactions; logged and recoverable)} *)
 
@@ -137,7 +141,6 @@ val process_checkpoints : t -> int
     record is not yet written — recovery would then resurrect a
     transaction that never durably committed. *)
 
-val pending_checkpoints : t -> int
 val checkpoint_partition : t -> Addr.partition -> unit
 (** Force one partition checkpoint now. *)
 
@@ -163,9 +166,6 @@ val recover : t -> unit
     @raise Mrdb_util.Fatal.Invariant when a catalog partition's durable
     state is unreadable, or its checkpoint image belongs to another
     partition. *)
-
-val ensure_relation : t -> string -> unit
-(** Demand-restore a relation (all its partitions and index overlays). *)
 
 (** {2 Replication roles and failover ({!Mrdb_replica})} *)
 

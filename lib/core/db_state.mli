@@ -83,7 +83,6 @@ val note_cmd_capable : vol -> Catalog.rel_desc -> unit
 (** Register the relation in [cmd_rel_by_seg] when its schema is all-Int
     (idempotent); called on every relation-runtime materialization. *)
 
-val attach_index : ctx -> vol -> Catalog.index_desc -> index_inst
 val ensure_indices : ctx -> vol -> rel_rt -> unit
 val ensure_rel_resident : ctx -> vol -> rel_rt -> unit
 

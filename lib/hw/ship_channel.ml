@@ -6,10 +6,6 @@ type t = {
   mutable dropping : bool;
   mutable deliver : (bytes -> unit) option;
   mutable last_arrival_us : float;
-  mutable frames_sent : int;
-  mutable frames_dropped : int;
-  mutable frames_delivered : int;
-  mutable bytes_shipped : int;
 }
 
 let create ?(name = "ship") ?(delay_us = 500.0) sim =
@@ -22,10 +18,6 @@ let create ?(name = "ship") ?(delay_us = 500.0) sim =
     dropping = false;
     deliver = None;
     last_arrival_us = 0.0;
-    frames_sent = 0;
-    frames_dropped = 0;
-    frames_delivered = 0;
-    bytes_shipped = 0;
   }
 
 let name t = t.name
@@ -34,10 +26,7 @@ let attach t f = t.deliver <- Some f
 let detach t = t.deliver <- None
 
 let send t frame =
-  t.frames_sent <- t.frames_sent + 1;
-  if t.dropping then t.frames_dropped <- t.frames_dropped + 1
-  else begin
-    t.bytes_shipped <- t.bytes_shipped + Bytes.length frame;
+  if not t.dropping then begin
     (* The receiver may not run until the propagation delay has elapsed,
        and frames never overtake each other: each arrival is clamped to
        the previous one (FIFO even when the delay shrinks mid-flight). *)
@@ -49,11 +38,7 @@ let send t frame =
     t.last_arrival_us <- arrival;
     let data = Bytes.copy frame in
     Mrdb_sim.Sim.schedule_at t.sim arrival (fun () ->
-        match t.deliver with
-        | None -> t.frames_dropped <- t.frames_dropped + 1
-        | Some f ->
-            t.frames_delivered <- t.frames_delivered + 1;
-            f data)
+        match t.deliver with None -> () | Some f -> f data)
   end
 
 let set_extra_delay t us =
@@ -62,10 +47,4 @@ let set_extra_delay t us =
 
 let set_drop t b = t.dropping <- b
 
-let extra_delay_us t = t.extra_delay_us
 let dropping t = t.dropping
-
-let frames_sent t = t.frames_sent
-let frames_dropped t = t.frames_dropped
-let frames_delivered t = t.frames_delivered
-let bytes_shipped t = t.bytes_shipped

@@ -8,8 +8,8 @@
 
     Fault surface (lint rule R5 restricts the setters to lib/fault and
     tests): a partitioned link adds latency ({!set_extra_delay}) or
-    discards frames outright ({!set_drop}).  Dropped frames are counted
-    but never delivered — the shipping protocol's cursor/ack resend is
+    discards frames outright ({!set_drop}).  Dropped frames are never
+    delivered — the shipping protocol's cursor/ack resend is
     what recovers, exactly like a real replication stream over a flaky
     network. *)
 
@@ -25,7 +25,7 @@ val name : t -> string
 
 val attach : t -> (bytes -> unit) -> unit
 (** Install the receiver.  A frame arriving while no receiver is attached
-    (standby down) is counted dropped — the wire does not buffer for a
+    (standby down) is dropped — the wire does not buffer for a
     dead node. *)
 
 val detach : t -> unit
@@ -42,12 +42,4 @@ val set_extra_delay : t -> float -> unit
 val set_drop : t -> bool -> unit
 (** Discard every subsequently sent frame until cleared. *)
 
-val extra_delay_us : t -> float
 val dropping : t -> bool
-
-(** {2 Stats (untimed observation)} *)
-
-val frames_sent : t -> int
-val frames_dropped : t -> int
-val frames_delivered : t -> int
-val bytes_shipped : t -> int

@@ -1,6 +1,5 @@
 type rule =
   | R1
-  | R2
   | R3
   | R4
   | R5
@@ -22,7 +21,6 @@ type t = {
 
 let rule_name = function
   | R1 -> "R1"
-  | R2 -> "R2"
   | R3 -> "R3"
   | R4 -> "R4"
   | R5 -> "R5"
@@ -33,14 +31,13 @@ let rule_name = function
   | R11 -> "R11"
   | Parse_error -> "parse"
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R8; R9; R10; R11 ]
+let all_rules = [ R1; R3; R4; R5; R6; R8; R9; R10; R11 ]
 
 let rule_of_name s =
   List.find_opt (fun r -> rule_name r = s) all_rules
 
 let rule_title = function
   | R1 -> "wild-write discipline"
-  | R2 -> "layering"
   | R3 -> "partiality"
   | R4 -> "sealed interfaces"
   | R5 -> "fault-injection containment"
@@ -56,11 +53,6 @@ let paper_clause = function
       "paper 2.2: stable memory is \"protected from wild or malicious "
       ^ "stores\"; only the log components (mrdb_wal, recovery/wellknown.ml) "
       ^ "may write it raw"
-  | R2 ->
-      "paper 2.3: the recovery CPU is separable from the main CPU; module "
-      ^ "references must follow the declared dependency order "
-      ^ "(util -> hw/sim -> wal/storage/txn/index -> ckpt/archive -> "
-      ^ "recovery -> core)"
   | R3 ->
       "recovery correctness: corruption-vs-bug must be structured and "
       ^ "greppable; use Mrdb_util.Fatal (or a structured exception), never "

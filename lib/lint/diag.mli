@@ -2,7 +2,6 @@
 
 type rule =
   | R1
-  | R2
   | R3
   | R4
   | R5
@@ -26,9 +25,9 @@ val rule_name : rule -> string
 val rule_title : rule -> string
 
 val all_rules : rule list
-(** Every enforced rule, in order (excludes [Parse_error]).  R7 (SLB
-    region ownership) was folded into R9's "striped SLB regions" resource
-    and its number is retired. *)
+(** Every enforced rule, in order (excludes [Parse_error]).  R2
+    (layering) is left to dune, and R7 (SLB region ownership) was folded
+    into R9's "striped SLB regions" resource; both numbers are retired. *)
 
 val rule_of_name : string -> rule option
 (** ["R8"] -> [Some R8]; drives [mrdb_lint --explain]. *)

@@ -91,11 +91,6 @@ let rec fault_injection_call = function
 
 
 let check_structure ~file ~rel str =
-  let dir = match String.index_opt rel '/' with
-    | Some i -> String.sub rel 0 i
-    | None -> ""
-  in
-  let own_lib = Rules.library_of_dir dir in
   let diags = ref [] in
   let add rule loc msg =
     let line, col = pos_of loc in
@@ -111,27 +106,6 @@ let check_structure ~file ~rel str =
                 components; go through the SLB/SLT/partition-bin interfaces"
                m)
       | None -> ()
-  in
-  let check_r2 loc path =
-    match (own_lib, path) with
-    | Some own, head :: _
-      when String.length head > 5
-           && String.sub head 0 5 = "Mrdb_"
-           && String.lowercase_ascii head <> own -> (
-        let target = String.lowercase_ascii head in
-        match Rules.is_known_library target with
-        | false ->
-            add Diag.R2 loc
-              (Printf.sprintf
-                 "reference to %s, which is not in the declared library \
-                  order; add it to Rules.allowed_deps deliberately" head)
-        | true ->
-            if not (Rules.may_depend ~from:own ~target) then
-              add Diag.R2 loc
-                (Printf.sprintf
-                   "%s must not reference %s (violates the declared \
-                    dependency order)" own target))
-    | _ -> ()
   in
   let check_r3 loc path =
     if not (Rules.partiality_allowed rel) then
@@ -168,7 +142,6 @@ let check_structure ~file ~rel str =
     | None -> ()
     | Some path ->
         check_r1 lid.loc path;
-        check_r2 lid.loc path;
         check_r3 lid.loc path;
         check_r5 lid.loc path;
         check_r6 lid.loc path

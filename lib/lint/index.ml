@@ -215,7 +215,7 @@ let rec walk_items ~prefix acc_bindings acc_exns acc_exn_aliases acc_fields
           | Pmod_structure sub ->
               walk_items ~prefix:(prefix ^ name ^ ".") acc_bindings acc_exns
                 acc_exn_aliases acc_fields acc_aliases acc_opens sub
-          | _ -> () (* functor bodies are out of scope, as for R1-R6 *))
+          | _ -> () (* functor bodies are out of scope, as for R1, R3-R6 *))
       | Pstr_open od -> (
           match od.popen_expr.pmod_desc with
           | Pmod_ident lid -> (

@@ -1,11 +1,13 @@
 (* The declared architecture.  This table is the single place the rules
-   live; mrdb_lint enforces it against the sources, so editing a dune file
-   (or adding a library) without updating — and thereby re-reviewing — the
-   declared order is itself a violation. *)
+   live; mrdb_lint enforces it against the sources.  Library layering is
+   not here: dune's [libraries] fields, with [implicit_transitive_deps]
+   off, reject every undeclared cross-library reference at build time. *)
 
 (* -- library universe ------------------------------------------------------ *)
 
-(* Directory under lib/ -> library name, mirroring the dune stanzas. *)
+(* Directory under lib/ -> library name, mirroring the dune stanzas (a
+   test checks the two agree).  The call graph behind R8 and R9 resolves
+   [Mrdb_*] heads through this table, so a missing entry blinds them. *)
 let libraries =
   [
     ("util", "mrdb_util");
@@ -30,86 +32,6 @@ let libraries =
 
 let library_of_dir dir = List.assoc_opt dir libraries
 let is_known_library name = List.exists (fun (_, l) -> l = name) libraries
-
-(* R2: the declared dependency order (util -> hw/sim -> wal/storage/txn/index
-   -> ckpt/archive -> recovery -> core).  Each entry lists the mrdb libraries
-   a library may reference — the transitively-closed mirror of the dune
-   [libraries] fields.  The seam the paper's 2.3 two-CPU split depends on is
-   visible here as an absence: [mrdb_recovery] must never reach up into
-   [mrdb_core]. *)
-let allowed_deps =
-  [
-    ("mrdb_util", []);
-    ("mrdb_sim", [ "mrdb_util" ]);
-    ("mrdb_obs", [ "mrdb_util"; "mrdb_sim" ]);
-    ("mrdb_exec", [ "mrdb_util" ]);
-    ("mrdb_hw", [ "mrdb_util"; "mrdb_sim" ]);
-    ("mrdb_fault", [ "mrdb_util"; "mrdb_sim"; "mrdb_obs"; "mrdb_hw" ]);
-    ("mrdb_storage", [ "mrdb_util"; "mrdb_hw" ]);
-    ("mrdb_index", [ "mrdb_util"; "mrdb_storage" ]);
-    (* The logical-command codec sits directly on storage: command records
-       replay through Relation/Partition, and nothing below the WAL may
-       know about record framing. *)
-    ("mrdb_logical", [ "mrdb_util"; "mrdb_storage" ]);
-    ("mrdb_txn", [ "mrdb_util"; "mrdb_hw"; "mrdb_obs"; "mrdb_storage" ]);
-    ( "mrdb_wal",
-      [ "mrdb_util"; "mrdb_sim"; "mrdb_obs"; "mrdb_hw"; "mrdb_storage";
-        "mrdb_logical" ] );
-    ("mrdb_ckpt", [ "mrdb_util"; "mrdb_sim"; "mrdb_hw"; "mrdb_storage" ]);
-    ("mrdb_analysis", [ "mrdb_util" ]);
-    ("mrdb_archive", [ "mrdb_util"; "mrdb_storage"; "mrdb_wal"; "mrdb_ckpt" ]);
-    ( "mrdb_recovery",
-      [
-        "mrdb_util";
-        "mrdb_sim";
-        "mrdb_obs";
-        "mrdb_hw";
-        "mrdb_storage";
-        "mrdb_logical";
-        "mrdb_wal";
-        "mrdb_txn";
-        "mrdb_ckpt";
-        "mrdb_archive";
-      ] );
-    ( "mrdb_core",
-      [
-        "mrdb_util";
-        "mrdb_sim";
-        "mrdb_obs";
-        "mrdb_exec";
-        "mrdb_hw";
-        "mrdb_storage";
-        "mrdb_index";
-        "mrdb_logical";
-        "mrdb_txn";
-        "mrdb_wal";
-        "mrdb_ckpt";
-        "mrdb_recovery";
-        "mrdb_archive";
-      ] );
-    (* The replica sits above core (it drives two Db instances) but below
-       nothing: no library may depend back on it, so the single-node build
-       is never entangled with replication. *)
-    ( "mrdb_replica",
-      [
-        "mrdb_util";
-        "mrdb_sim";
-        "mrdb_obs";
-        "mrdb_hw";
-        "mrdb_storage";
-        "mrdb_wal";
-        "mrdb_ckpt";
-        "mrdb_recovery";
-        "mrdb_core";
-        "mrdb_fault";
-      ] );
-    ("mrdb_lint", [ "mrdb_util" ]);
-  ]
-
-let may_depend ~from ~target =
-  match List.assoc_opt from allowed_deps with
-  | None -> false
-  | Some deps -> List.mem target deps
 
 (* -- R1: wild-write discipline --------------------------------------------- *)
 

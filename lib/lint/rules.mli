@@ -4,9 +4,10 @@
     - {b R1 wild-write discipline}: the mutating [Stable_mem] API is legal
       only in [mrdb_wal] and [recovery/wellknown.ml] (and the defining
       module itself).
-    - {b R2 layering}: [Mrdb_*] references must follow the declared
-      dependency order; in particular [mrdb_recovery] never references
-      [mrdb_core].
+    - R2 (layering) is retired: dune enforces it.  [dune-project] sets
+      [implicit_transitive_deps false], so a library can name only the
+      [Mrdb_*] libraries its own [libraries] field lists, and an upward
+      edge such as [mrdb_recovery] -> [mrdb_core] is a dependency cycle.
     - {b R3 partiality}: bare [failwith] / [invalid_arg] / [assert false] /
       [Option.get] / [List.hd] are banned under [lib/] outside
       [util/fatal.ml].
@@ -43,13 +44,6 @@ val libraries : (string * string) list
 
 val library_of_dir : string -> string option
 val is_known_library : string -> bool
-
-val allowed_deps : (string * string list) list
-(** Library -> mrdb libraries it may reference (mirrors the dune files;
-    the absence of [mrdb_core] under [mrdb_recovery] is the paper's 2.3
-    two-CPU seam). *)
-
-val may_depend : from:string -> target:string -> bool
 
 val stable_mem_mutators : string list
 val wild_write_allowed : string -> bool

@@ -169,7 +169,7 @@ let builtin () =
 
 (* The process-wide table every replayer shares.  Commands are only
    meaningful under one interpretation, so there is exactly one table on
-   the replay side; tests build private tables via [builtin]/[register]. *)
+   the replay side; tests build private tables with [Dispatch.create]. *)
 let default = lazy (builtin ())
 
 let apply_cmd ?alloc ~target (cmd : Cmd_op.t) =

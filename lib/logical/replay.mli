@@ -12,7 +12,7 @@
     All malformed-command failures raise [Mrdb_util.Fatal.Invariant] —
     the replica audit already maps that to a divergence verdict. *)
 
-(** Built-in op ids (registered by {!builtin}): *)
+(** Built-in op ids (registered in the default dispatch table): *)
 
 val op_insert_ints : int
 (** 1: insert; key = slot, args = the column values (all-Int schema). *)
@@ -23,9 +23,6 @@ val op_delete : int
 val op_add_i64 : int
 (** 3: args = [col; delta] — add [delta] to Int column [col]. *)
 
-val op_set_i64 : int
-(** 4: args = [col; value] — set Int column [col]. *)
-
 val op_add_col0 : int
 (** 8..15: add args.(0) into column (op - 8) — the column index rides the
     tag byte for the first {!folded_cols} columns. *)
@@ -34,11 +31,6 @@ val op_set_col0 : int
 (** 16..23: set column (op - 16) to args.(0). *)
 
 val folded_cols : int
-
-val builtin : unit -> Dispatch.t
-(** A fresh dispatch table carrying the built-in vocabulary above.
-    Further [Dispatch.register] calls extend it (tests only; the replay
-    side uses the shared default table). *)
 
 val apply_cmd :
   ?alloc:(int -> bytes) -> target:Dispatch.target -> Cmd_op.t -> unit

@@ -17,11 +17,6 @@ type phase =
   | Background_sweep     (** the low-priority restore-everything sweep *)
   | Failover             (** standby promotion: recover-from-shipped + role flip *)
 
-val all_phases : phase list
-(** The six phases in canonical (paper §2.5 restart) order; [Failover]
-    (warm-standby promotion, not part of the paper's single-node restart)
-    comes last. *)
-
 val phase_name : phase -> string
 (** Stable snake_case name used in the JSON schema. *)
 

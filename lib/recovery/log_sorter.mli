@@ -7,19 +7,6 @@
     CPU so the sort shows up in simulated throughput, never in commit
     latency. *)
 
-(** {2 Table 2 instruction costs} *)
-
-val record_sort_fixed_instr : int
-(** Per-record fixed cost: bin lookup 20 + page check 10 + copy startup 3
-    + page info 10. *)
-
-val copy_instr_per_byte : float
-(** Per-byte copy cost (read + write, stable memory 4x slower). *)
-
-val page_write_instr : int
-(** Per-page-seal cost: write init 500 + page alloc 100 + LSN
-    bookkeeping 40. *)
-
 type t
 
 val create :

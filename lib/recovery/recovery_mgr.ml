@@ -28,7 +28,6 @@ let attach t ~env ~deps ~log_disk ~slb ~slt ~cat ~seq ~segments ~txn_mgr ~lock_m
   t.comps <- Some { sorter; restorer; ckpt }
 
 let detach t = t.comps <- None
-let is_attached t = t.comps <> None
 
 let comps t =
   match t.comps with

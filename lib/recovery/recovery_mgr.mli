@@ -41,8 +41,6 @@ val attach :
 val detach : t -> unit
 (** Crash: drop the attached components (the CPU persists). *)
 
-val is_attached : t -> bool
-
 val sorter : t -> Log_sorter.t
 val restorer : t -> Restorer.t
 val ckpt_mgr : t -> Ckpt_mgr.t

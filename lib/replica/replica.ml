@@ -34,8 +34,6 @@ let fwd_channel t = t.fwd
 let rev_channel t = t.rev
 let epoch t = t.epoch
 let cuts_shipped t = t.cut
-let acked_cut t = t.acked_cut
-let standby_up t = t.standby_up
 
 let lag_records t = max 0 (Db.commit_seq t.primary - Db.commit_seq t.standby)
 

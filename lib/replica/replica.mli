@@ -92,7 +92,3 @@ val epoch : t -> int
 (** Current seed generation (bumped by every forced re-seed). *)
 
 val cuts_shipped : t -> int
-val acked_cut : t -> int
-(** Highest cut acked [Applied] (-1 before the first). *)
-
-val standby_up : t -> bool

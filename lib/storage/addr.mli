@@ -21,7 +21,6 @@ val hash : t -> int
 
 val equal_partition : partition -> partition -> bool
 val compare_partition : partition -> partition -> int
-val hash_partition : partition -> int
 
 val pp : Format.formatter -> t -> unit
 val pp_partition : Format.formatter -> partition -> unit

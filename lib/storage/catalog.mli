@@ -49,8 +49,6 @@ type t
 val catalog_segment_id : int
 (** Always 0. *)
 
-val catalog_rel_name : string
-
 val create : partition_bytes:int -> log:Relation.log_sink -> t
 (** Bootstrap a fresh catalog: creates segment 0 and the ["__catalog__"]
     descriptor (logged through [log]). *)
@@ -128,10 +126,6 @@ val fold_relations : (rel_desc -> 'a -> 'a) -> t -> 'a -> 'a
 val relations : t -> rel_desc list
 (** User relations (excludes ["__catalog__"]), in ascending [rel_id]
     order. *)
-
-val fresh_segment_id : t -> int
-(** Allocate the next unused segment id (also used by recovery when
-    re-creating segments). *)
 
 (** {2 Recovery} *)
 

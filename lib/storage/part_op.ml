@@ -44,10 +44,6 @@ let undo_of ~before op =
 let slot = function
   | Insert { slot; _ } | Update { slot; _ } | Delete { slot } -> slot
 
-let data_size = function
-  | Insert { data; _ } | Update { data; _ } -> Bytes.length data
-  | Delete _ -> 0
-
 let encoded_size op =
   let open Mrdb_util.Codec in
   match op with

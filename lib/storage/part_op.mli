@@ -30,9 +30,6 @@ val undo_of : before:bytes option -> t -> t
     @raise Invalid_argument when [before]'s presence contradicts [op]. *)
 
 val slot : t -> int
-val data_size : t -> int
-(** Payload bytes carried (0 for deletes) — the paper's log record size
-    accounting. *)
 
 val encode : Mrdb_util.Codec.Enc.t -> t -> unit
 val decode : Mrdb_util.Codec.Dec.t -> t

@@ -96,8 +96,6 @@ let fold f init t =
   iter (fun slot b -> acc := f !acc slot b) t;
   !acc
 
-let contiguous_free t = data_tail t - dir_end t
-
 let free_space t = size t - dir_end t - t.used
 
 let compact t =

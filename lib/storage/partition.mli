@@ -60,8 +60,6 @@ val free_space : t -> int
     compacts automatically when fragmentation blocks an otherwise-fitting
     allocation).  O(1): read from the live-length sum. *)
 
-val contiguous_free : t -> int
-
 (** {2 Normal-path operations (choose their own slot)} *)
 
 val insert : t -> bytes -> int option

@@ -16,13 +16,6 @@ let id t = t.id
 let partition_bytes t = t.partition_bytes
 let partition_count t = t.count
 
-let live_partition_count t =
-  let n = ref 0 in
-  for i = 0 to t.count - 1 do
-    match t.slots.(i) with Live _ -> incr n | Evicted | Dead -> ()
-  done;
-  !n
-
 let grow t =
   if t.count = Array.length t.slots then begin
     let cap = Stdlib.max 8 (2 * t.count) in

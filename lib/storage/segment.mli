@@ -15,8 +15,6 @@ val partition_bytes : t -> int
 val partition_count : t -> int
 (** Includes de-allocated slots. *)
 
-val live_partition_count : t -> int
-
 val allocate_partition : t -> Partition.t
 (** New empty partition with the next partition number. *)
 

@@ -444,10 +444,6 @@ let locked_resources t ~txn =
       done;
       List.rev !acc
 
-let pp_mode ppf m =
-  Format.pp_print_string ppf
-    (match m with IS -> "IS" | IX -> "IX" | S -> "S" | SIX -> "SIX" | X -> "X")
-
 let pp_resource ppf = function
   | Relation id -> Format.fprintf ppf "rel:%d" id
   | Entity a -> Format.fprintf ppf "ent:%a" Mrdb_storage.Addr.pp a

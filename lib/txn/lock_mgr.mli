@@ -61,10 +61,6 @@ val release_all : t -> txn:int -> int list
     of [txn]; returns the transactions whose queued requests became fully
     granted as a result (for the scheduler to wake). *)
 
-val waiting_for : t -> txn:int -> int list
-(** Transactions currently blocking [txn]'s oldest queued request. *)
-
 val locked_resources : t -> txn:int -> resource list
 
-val pp_mode : Format.formatter -> mode -> unit
 val pp_resource : Format.formatter -> resource -> unit

@@ -15,7 +15,6 @@ type t = {
 type chain = {
   mutable blocks_held : int list; (* newest first *)
   mutable records : int;
-  mutable bytes : int;
 }
 
 let create ?(block_bytes = 2048) ?(block_count = 1024) epoch =
@@ -50,7 +49,7 @@ let alloc_block t =
 let open_chain t =
   check_live t;
   let b = alloc_block t in
-  { blocks_held = [ b ]; records = 0; bytes = 0 }
+  { blocks_held = [ b ]; records = 0 }
 
 (* Record framing inside a block: u16 length | payload.  A record that does
    not fit the current block's remainder goes to a fresh block (records do
@@ -82,11 +81,9 @@ let push t chain (part : Addr.partition) op =
   Mrdb_util.Codec.put_i64 block.buf (pos + 8) (Int64.of_int part.Addr.partition);
   ignore (Part_op.encode_into op block.buf ~pos:(pos + 16) : int);
   block.used <- block.used + frame_len;
-  chain.records <- chain.records + 1;
-  chain.bytes <- chain.bytes + frame_len
+  chain.records <- chain.records + 1
 
 let record_count chain = chain.records
-let byte_size chain = chain.bytes
 
 let decode_block t idx =
   let block = t.blocks.(idx) in
@@ -105,8 +102,7 @@ let decode_block t idx =
 let release t chain =
   List.iter (fun i -> Queue.add i t.free) chain.blocks_held;
   chain.blocks_held <- [];
-  chain.records <- 0;
-  chain.bytes <- 0
+  chain.records <- 0
 
 let pop_all t chain =
   check_live t;

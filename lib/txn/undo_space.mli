@@ -39,7 +39,6 @@ val push : t -> chain -> Addr.partition -> Part_op.t -> unit
     @raise Out_of_undo_space when the space is exhausted. *)
 
 val record_count : chain -> int
-val byte_size : chain -> int
 
 val pop_all : t -> chain -> (Addr.partition * Part_op.t) list
 (** Decode the chain's records in {e reverse} (most-recent-first) order —

@@ -45,11 +45,6 @@ let first_clear_from t start =
 
 let first_clear t = first_clear_from t 0
 
-let iter_set f t =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
-  done
-
 let copy t = { words = Bytes.copy t.words; n = t.n; set_count = t.set_count }
 
 let reset t =

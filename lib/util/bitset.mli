@@ -22,6 +22,5 @@ val first_clear_from : t -> int -> int option
 (** Lowest clear bit at or after the given index, wrapping around to 0 —
     the scan order of a pseudo-circular allocator. *)
 
-val iter_set : (int -> unit) -> t -> unit
 val copy : t -> t
 val reset : t -> unit

@@ -15,14 +15,6 @@ let row t cells =
     Fatal.misuse "Texttab.row: arity mismatch";
   t.rows <- cells :: t.rows
 
-let rowf t fmt =
-  Format.kasprintf
-    (fun s ->
-      let arity = List.length t.headers in
-      let cells = s :: List.init (arity - 1) (fun _ -> "") in
-      t.rows <- cells :: t.rows)
-    fmt
-
 let render t =
   let headers = List.map fst t.headers in
   let aligns = List.map snd t.headers in

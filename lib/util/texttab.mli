@@ -14,9 +14,6 @@ val create_aligned : headers:(string * align) list -> t
 val row : t -> string list -> unit
 (** @raise Invalid_argument when the arity differs from the header. *)
 
-val rowf : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formats a single string and adds it as a one-cell row (section notes). *)
-
 val render : t -> string
 val print : t -> unit
 (** Render to stdout followed by a newline. *)

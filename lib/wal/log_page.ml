@@ -36,21 +36,15 @@ let prepare_into ~dir_size ~lsn ~(part : Addr.partition) ~prev_lsn ~dir ~used ~n
   Mrdb_util.Codec.put_u32 page 44 (Array.length dir);
   Array.iteri (fun i l -> Mrdb_util.Codec.put_i64 page (fixed_header + (8 * i)) l) dir
 
-let prepare ~page_bytes ~dir_size ~lsn ~(part : Addr.partition) ~prev_lsn ~dir ~used ~nrecords =
-  let page = Bytes.create page_bytes in
-  prepare_into ~dir_size ~lsn ~part ~prev_lsn ~dir ~used ~nrecords page;
-  page
-
 let finish page =
   let page_bytes = Bytes.length page in
   let crc = Mrdb_util.Checksum.crc32 page ~pos:0 ~len:(page_bytes - 4) in
   Bytes.set_int32_le page (page_bytes - 4) crc
 
 let build ~page_bytes ~dir_size ~lsn ~(part : Addr.partition) ~prev_lsn ~dir ~payload ~nrecords =
-  let page =
-    prepare ~page_bytes ~dir_size ~lsn ~part ~prev_lsn ~dir
-      ~used:(Bytes.length payload) ~nrecords
-  in
+  let page = Bytes.create page_bytes in
+  prepare_into ~dir_size ~lsn ~part ~prev_lsn ~dir ~used:(Bytes.length payload)
+    ~nrecords page;
   Bytes.blit payload 0 page (payload_off ~dir_size) (Bytes.length payload);
   finish page;
   page

@@ -33,24 +33,16 @@ val build :
 val prepare_into :
   dir_size:int -> lsn:int64 -> part:Addr.partition -> prev_lsn:int64 ->
   dir:int64 array -> used:int -> nrecords:int -> bytes -> unit
-(** {!prepare} into a caller-owned page buffer (its length is the page
-    size): zeroes the buffer, writes the header, leaves the payload region
+(** Write a page header into a caller-owned page buffer (its length is
+    the page size): zeroes the buffer, writes the header, leaves the payload region
     for the caller to blit before {!finish}.  The hot seal path reuses one
     such buffer per bin so the steady state allocates no page images.
     @raise Invalid_argument when [used] or the directory exceed capacity. *)
 
-val prepare :
-  page_bytes:int -> dir_size:int -> lsn:int64 -> part:Addr.partition ->
-  prev_lsn:int64 -> dir:int64 array -> used:int -> nrecords:int -> bytes
-(** Zero-copy variant of {!build}: a page image with the header written and
-    the payload region zeroed.  The caller blits [used] payload bytes
-    directly at {!payload_off} (e.g. straight out of stable memory) and
-    then seals the image with {!finish} — no intermediate payload buffer.
-    @raise Invalid_argument when [used] or the directory exceed capacity. *)
-
 val finish : bytes -> unit
-(** Stamp the trailing CRC-32 over a {!prepare}d page once its payload is
-    in place.  [build page = prepare; blit; finish] byte-for-byte. *)
+(** Stamp the trailing CRC-32 over a {!prepare_into}d page once its
+    payload is in place.  [build] is [prepare_into; blit; finish]
+    byte-for-byte. *)
 
 val verify : page_bytes:int -> bytes -> bool
 (** Size + magic + CRC check only, no decoding — the acceptance predicate

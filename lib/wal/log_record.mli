@@ -100,4 +100,3 @@ val command_at : bytes -> pos:int -> len:int -> Mrdb_logical.Cmd_op.t
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val tag_to_string : tag -> string

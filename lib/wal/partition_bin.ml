@@ -250,14 +250,9 @@ let update_count t = t.update_count
 let first_lsn t = t.live.first_lsn
 let pages_written t = t.live.pages_written
 let buffered_records t = t.live.buf_nrecords
-let buffered_bytes t = t.live.buf_used
 let directory t = Array.copy t.live.dir
 let last_seq t = t.last_seq
 let has_shadow t = t.has_shadow
-
-let shadow_first_lsn t = t.shadow.first_lsn
-let shadow_directory t = Array.copy t.shadow.dir
-let shadow_buffered_records t = t.shadow.buf_nrecords
 
 let oldest_lsn t =
   if t.has_shadow && t.shadow.first_lsn >= 0L then t.shadow.first_lsn
@@ -440,17 +435,6 @@ let discard_shadow t =
       Mrdb_hw.Stable_mem.Blocks.free (pool t) t.shadow.buf_block;
     copy_chain ~src:(empty_chain ()) ~dst:t.shadow;
     t.has_shadow <- false;
-    persist t
-  end
-
-let restore_cut t =
-  (* Checkpoint failed before installing: fold the live generation's
-     bookkeeping back is impossible in general (live may have its own
-     pages), so keep both generations; recovery replays shadow then live.
-     Only the update counter is restored so triggers keep firing. *)
-  if t.has_shadow then begin
-    t.update_count <-
-      t.update_count + t.shadow.pages_written + t.shadow.buf_nrecords;
     persist t
   end
 

@@ -41,7 +41,6 @@ val first_lsn : t -> int64
 
 val pages_written : t -> int
 val buffered_records : t -> int
-val buffered_bytes : t -> int
 val directory : t -> int64 array
 (** Current (incomplete) span of the live generation, oldest first. *)
 
@@ -71,18 +70,11 @@ val begin_cut : t -> [ `Cut | `Nothing_to_cut | `Shadow_busy ]
     filter. *)
 
 val discard_shadow : t -> unit
-val restore_cut : t -> unit
-(** Give up on a checkpoint after a cut: keep both generations for replay
-    and restore the update-count pressure. *)
 
 val has_shadow : t -> bool
 val oldest_lsn : t -> int64
 (** Oldest log page across both generations (-1 when none) — what the log
     window's age trigger must track. *)
-
-val shadow_first_lsn : t -> int64
-val shadow_directory : t -> int64 array
-val shadow_buffered_records : t -> int
 
 val live_buffer_frames : t -> Log_page.frames option
 val shadow_buffer_frames : t -> Log_page.frames option

@@ -268,8 +268,6 @@ let accept_raw t buf ~pos ~len =
   if Partition_bin.update_count bin >= t.n_update then
     request_checkpoint t (Partition_bin.partition bin) Update_count
 
-let accept_all t records = List.iter (accept t) records
-
 let flush_partition t part =
   match find_bin t part with
   | None -> ()

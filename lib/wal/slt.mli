@@ -55,7 +55,6 @@ val bin_index_of : t -> Addr.partition -> int
     @raise Failure when the bin table is full. *)
 
 val find_bin : t -> Addr.partition -> Partition_bin.t option
-val bin_of_index : t -> int -> Partition_bin.t option
 
 val accept : t -> Log_record.t -> unit
 (** The sorting step: place one committed record into its bin, sealing and
@@ -67,11 +66,6 @@ val accept_raw : t -> bytes -> pos:int -> len:int -> unit
     decoding or copying it.  The bin index and sequence watermark are
     peeked out of the encoding; the frame lands in the bin buffer as one
     stable-memory write.  This is the hot drain path. *)
-
-val accept_all : t -> Log_record.t list -> unit
-(** [List.iter (accept t)] — convenience for recovery/test paths.  The hot
-    drain path streams record frames straight off the SLB chains
-    ({!Slb.drain_raw} + {!accept_raw}) instead of materializing records. *)
 
 val flush_partition : t -> Addr.partition -> unit
 (** Seal and write the partition's partial page, if any (checkpoint step 7

@@ -1,6 +1,6 @@
 (* Golden tests for mrdb_lint: a fixture corpus seeds exactly one violation
-   per rule — the per-file rules (R1 wild write, R2 layering, R3 partiality,
-   R4 unsealed, R5 fault injection, R6 bare printing) plus the
+   per rule — the per-file rules (R1 wild write, R3 partiality, R4
+   unsealed, R5 fault injection, R6 bare printing) plus the
    interprocedural rules (R8 determinism, R9 ownership, R10 structured
    raises, R11 stale allowlist), whose violations are only
    visible through the cross-module call graph.  Each rule must fire at
@@ -77,7 +77,6 @@ let expected =
     ("R9", "lint_fixtures/core/rogue_replay.ml", 5);
     ("R1", "lint_fixtures/core/wild_write.ml", 4);
     ("R10", "lint_fixtures/recovery/sloppy.ml", 3);
-    ("R2", "lint_fixtures/recovery/upcall.ml", 3);
     ("R1", "lint_fixtures/replica/rogue_apply.ml", 5);
     ("R5", "lint_fixtures/replica/rogue_apply.ml", 7);
     ("R8", "lint_fixtures/storage/clockuser.ml", 7);
@@ -246,6 +245,8 @@ let test_explain_lookup () =
   check bool_t "R8 resolves" true (Diag.rule_of_name "R8" = Some Diag.R8);
   check bool_t "R11 resolves" true (Diag.rule_of_name "R11" = Some Diag.R11);
   check bool_t "unknown rejected" true (Diag.rule_of_name "R99" = None);
+  check bool_t "retired R2 rejected" true (Diag.rule_of_name "R2" = None);
+  check bool_t "retired R7 rejected" true (Diag.rule_of_name "R7" = None);
   (* The rule id sits in its own stable column so CI can grep ': R8 ['. *)
   let d = List.hd (lint_fixtures ()) in
   check bool_t "rule id in stable column" true
@@ -289,19 +290,47 @@ let test_unparseable_reported_not_fatal () =
   check bool_t "tagged as parse error" true
     (List.for_all (fun d -> d.Diag.rule = Diag.Parse_error) diags)
 
-(* The seam PR 1 carved out, as a declared rule: the recovery component
-   (recovery CPU) may never reference the main-CPU facade. *)
-let test_declared_order_keeps_two_cpu_split () =
-  check bool_t "recovery -/-> core" false
-    (Rules.may_depend ~from:"mrdb_recovery" ~target:"mrdb_core");
-  check bool_t "core -> recovery" true
-    (Rules.may_depend ~from:"mrdb_core" ~target:"mrdb_recovery");
-  check bool_t "wal -/-> recovery" false
-    (Rules.may_depend ~from:"mrdb_wal" ~target:"mrdb_recovery");
-  check bool_t "util is the base" true
-    (List.for_all
-       (fun (lib, _) -> lib = "mrdb_util" || Rules.may_depend ~from:lib ~target:"mrdb_util")
-       Rules.allowed_deps)
+(* Layering is dune's: with implicit transitive deps off, a library can
+   name only the libraries its own dune file lists, and an upward edge
+   such as recovery -> core is a dependency cycle.  What the lint still
+   owns is the directory -> library table the call graph resolves
+   [Mrdb_*] heads through; a library missing from it would leave R8 and
+   R9 blind to every call into that library. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let dune_library_name path =
+  let words =
+    String.split_on_char '\n' (read_file path)
+    |> List.filter (fun line -> not (String.starts_with ~prefix:";" line))
+    |> String.concat " "
+    |> String.map (function '(' | ')' | '\t' -> ' ' | c -> c)
+    |> String.split_on_char ' '
+  in
+  let rec after_name = function
+    | "name" :: name :: _ -> Some name
+    | _ :: rest -> after_name rest
+    | [] -> None
+  in
+  after_name (List.filter (( <> ) "") words)
+
+let test_library_table_matches_dune () =
+  let lib_root = Filename.concat Filename.parent_dir_name "lib" in
+  let from_dune =
+    Sys.readdir lib_root |> Array.to_list
+    |> List.filter_map (fun dir ->
+           let dune = Filename.concat (Filename.concat lib_root dir) "dune" in
+           if Sys.file_exists dune then
+             Option.map (fun name -> (dir, name)) (dune_library_name dune)
+           else None)
+    |> List.sort compare
+  in
+  check
+    Alcotest.(list (pair string string))
+    "Rules.libraries mirrors lib/*/dune" from_dune
+    (List.sort compare Rules.libraries);
+  check bool_t "dune-project turns implicit transitive deps off" true
+    (contains ~needle:"(implicit_transitive_deps false)"
+       (read_file (Filename.concat Filename.parent_dir_name "dune-project")))
 
 let test_print_discipline_allowlist () =
   check bool_t "obs renderers may print" true (Rules.print_allowed "obs/export.ml");
@@ -373,16 +402,9 @@ let test_replica_confinement_allowlists () =
       check bool_t "the scenario driver does not" false
         (Rules.owner_matches r.Rules.res_owners "replica/scenario.ml")
 
-(* PR 10's confinement: logical command application is an integrity
-   boundary — only the codec subsystem and the shared REDO kernel may run
-   the dispatch table; the codec itself sits below the WAL. *)
+(* Logical command application is an integrity boundary: only the codec
+   subsystem and the shared REDO kernel may run the dispatch table. *)
 let test_dispatch_table_confinement () =
-  check bool_t "the codec sits on storage" true
-    (Rules.may_depend ~from:"mrdb_logical" ~target:"mrdb_storage");
-  check bool_t "the codec must not see record framing" false
-    (Rules.may_depend ~from:"mrdb_logical" ~target:"mrdb_wal");
-  check bool_t "the WAL frames command records" true
-    (Rules.may_depend ~from:"mrdb_wal" ~target:"mrdb_logical");
   match
     List.find_opt
       (fun r -> r.Rules.res_name = "replay dispatch table")
@@ -444,8 +466,8 @@ let () =
           Alcotest.test_case "clean file passes" `Quick test_clean_file_passes;
           Alcotest.test_case "unparseable file is a diagnostic" `Quick
             test_unparseable_reported_not_fatal;
-          Alcotest.test_case "declared order keeps the two-CPU split" `Quick
-            test_declared_order_keeps_two_cpu_split;
+          Alcotest.test_case "library table matches dune" `Quick
+            test_library_table_matches_dune;
           Alcotest.test_case "fault containment allowlist" `Quick
             test_fault_containment_allowlist;
           Alcotest.test_case "replay dispatch-table confinement" `Quick
