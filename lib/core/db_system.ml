@@ -162,9 +162,8 @@ let user_sink ctx v tx : Relation.log_sink =
         let bin_index = Slt.bin_index_of v.slt part in
         let seq = next_seq v part in
         (* The transaction's appends land in its executor's own SLB region —
-           the whole point of the striping (lint R7 confines this call
-           site).  Every commit mode appends here; group commit defers
-           only the ring entry. *)
+           the whole point of the striping.  Every commit mode appends
+           here; group commit defers only the ring entry. *)
         let physical () =
           Log_record.make ~tag:(tag_for v part) ~bin_index ~txn_id ~seq ~op:redo
         in

@@ -3,8 +3,9 @@
    typechecks, so it resolves only what the surface syntax shows — the head
    module of each [Longident] reference.  That is exactly enough for the
    architecture rules, because crossing a wrapped-library boundary always
-   names the library ([Mrdb_wal.Slt.accept], [open Mrdb_storage]): there is
-   no way to reach another library without the [Mrdb_*] head appearing. *)
+   names the library ([Mrdb_wal.Slt.accept_raw], [open Mrdb_storage]):
+   there is no way to reach another library without the [Mrdb_*] head
+   appearing. *)
 
 (* -- longident traversal --------------------------------------------------- *)
 

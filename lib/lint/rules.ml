@@ -372,9 +372,9 @@ let default_config =
       [
         { x_rel = "util/fatal.ml"; x_name = "Invariant" };
         { x_rel = "wal/slb.ml"; x_name = "Slb_full" };
+        { x_rel = "wal/slb.ml"; x_name = "Record_too_large" };
         { x_rel = "wal/partition_bin.ml"; x_name = "Pool_exhausted" };
         { x_rel = "wal/slt.ml"; x_name = "Bin_table_full" };
-        { x_rel = "wal/slt.ml"; x_name = "Record_too_large" };
         { x_rel = "storage/partition.ml"; x_name = "No_space" };
         { x_rel = "storage/relation.ml"; x_name = "Tuple_too_large" };
         { x_rel = "txn/undo_space.ml"; x_name = "Out_of_undo_space" };

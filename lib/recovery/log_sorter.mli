@@ -24,8 +24,9 @@ val slb : t -> Mrdb_wal.Slb.t
 val drain : t -> unit
 (** Sort every committed-and-unsorted SLB record into its partition bin
     and charge the recovery CPU for records moved, bytes copied and pages
-    written.  Records are streamed straight off the SLB chains
-    ({!Mrdb_wal.Slb.drain}) — no per-transaction lists are built.  Bumps
+    written.  Record frames are streamed straight off the SLB chains
+    into the bins ({!Mrdb_wal.Slb.drain_raw}, {!Mrdb_wal.Slt.accept_raw})
+    — nothing is decoded and no per-transaction lists are built.  Bumps
     the [sorter_drain_calls] trace counter and adds the records and bytes
     moved to [sorter_records_streamed] / [sorter_bytes_streamed]. *)
 

@@ -100,25 +100,6 @@ let command_at b ~pos ~len =
     (Mrdb_util.Codec.Dec.of_bytes ~pos:(body_at b ~pos) b)
     ~stop:(pos + len)
 
-let decode_at b ~pos:start ~len =
-  let open Mrdb_util.Codec.Dec in
-  let stop = start + len in
-  let dec = of_bytes ~pos:start b in
-  let byte = u8 dec in
-  let tag = tag_of_byte byte in
-  let bin_index = varint dec in
-  let txn_id = varint dec in
-  let seq = varint dec in
-  let op =
-    match tag with
-    | Command_op -> Command (Cmd_op.decode ~op_id:(byte - cmd_tag_base) dec ~stop)
-    | Relation_op | Index_op | Catalog_op -> Physical (Part_op.decode dec)
-  in
-  if pos dec <> stop then
-    Mrdb_util.Fatal.invariantf ~mod_:"Log_record"
-      "decode_at: frame length %d but consumed %d" len (pos dec - start);
-  { tag; bin_index; txn_id; seq; op }
-
 let equal_body a b =
   match (a, b) with
   | Physical x, Physical y -> Part_op.equal x y

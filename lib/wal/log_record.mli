@@ -60,14 +60,6 @@ val encode_into : t -> bytes -> pos:int -> int
     path — the caller reserves [encoded_size t] bytes and issues a single
     stable-memory write of the frame. *)
 
-val decode_at : bytes -> pos:int -> len:int -> t
-(** Decode the [len]-byte record frame payload starting at [pos], in
-    place — no intermediate [Bytes.sub].  The SLB's record-level drain
-    uses this against its reusable read buffer.  Command arguments carry
-    no count and parse up to the frame end.
-    @raise Mrdb_util.Fatal.Invariant on a bad tag byte or when the
-    encoding does not consume exactly [len] bytes. *)
-
 val peek_bin_index : bytes -> pos:int -> int
 (** Read just the bin index out of an encoded record starting at [pos] —
     an allocation-free varint scan.  The raw drain path uses it to route a

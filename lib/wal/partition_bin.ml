@@ -80,7 +80,6 @@ type t = {
   mutable has_shadow : bool;
   inflight : (int * int64) option array;
   mutable last_seq : int;
-  mutable scratch : bytes; (* grow-on-demand append framing buffer *)
   mutable page_scratch : bytes; (* reusable seal-page image buffer *)
 }
 
@@ -167,7 +166,6 @@ let activate layout ~idx part =
       has_shadow = false;
       inflight = Array.make inflight_slots None;
       last_seq = 0;
-      scratch = Bytes.create 0;
       page_scratch = Bytes.create 0;
     }
   in
@@ -235,7 +233,6 @@ let load layout ~idx =
               else Some (block, Mrdb_hw.Stable_mem.get_i64 m ~off:(off + 4)));
         last_seq =
           Int64.to_int (Mrdb_hw.Stable_mem.get_i64 m ~off:(base + off_last_seq));
-        scratch = Bytes.create 0;
         page_scratch = Bytes.create 0;
       }
   end
@@ -287,31 +284,8 @@ let note_appended t ~frame ~seq =
   if seq > t.last_seq then t.last_seq <- seq;
   persist_append_meta t
 
-let append t record =
-  let size = Log_record.encoded_size record in
-  let frame = 2 + size in
-  if frame > payload_capacity t then
-    Mrdb_util.Fatal.misuse "Partition_bin.append: record exceeds page capacity";
-  ensure_buffer t;
-  if t.live.buf_used + frame > payload_capacity t then `Page_full
-  else begin
-    (* Frame into the bin's reusable scratch (grown on demand, so the
-       steady state allocates nothing) and land it with one write.
-       Records are staged at the payload offset inside the pool block so
-       that sealing composes the page image in place. *)
-    if Bytes.length t.scratch < frame then t.scratch <- Bytes.create frame;
-    Mrdb_util.Codec.put_u16 t.scratch 0 size;
-    ignore (Log_record.encode_into record t.scratch ~pos:2 : int);
-    Mrdb_hw.Stable_mem.write_sub (mem t) ~off:(buf_off t + t.live.buf_used)
-      t.scratch ~pos:0 ~len:frame;
-    note_appended t ~frame ~seq:record.Log_record.seq;
-    `Buffered
-  end
-
 let append_raw t buf ~pos ~len =
   let frame = 2 + len in
-  if frame > payload_capacity t then
-    Mrdb_util.Fatal.misuse "Partition_bin.append_raw: record exceeds page capacity";
   ensure_buffer t;
   if t.live.buf_used + frame > payload_capacity t then `Page_full
   else begin

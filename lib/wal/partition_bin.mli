@@ -93,19 +93,15 @@ exception Pool_exhausted
 (** Page pool or in-flight slots exhausted; the caller must let disk writes
     complete (backpressure on the logging pipeline). *)
 
-val append : t -> Log_record.t -> [ `Buffered | `Page_full ]
-(** Copy a record into the page buffer (allocating one from the pool on
-    first use).  [`Page_full] means the record did NOT fit — the caller
-    must {!seal_page} and retry.
-    @raise Pool_exhausted when the page pool is empty. *)
-
 val append_raw : t -> bytes -> pos:int -> len:int -> [ `Buffered | `Page_full ]
-(** Zero-copy {!append}: the [len]-byte encoded record sits at [pos] in a
+(** Copy one record frame into the page buffer (allocating one from the
+    pool on first use).  The [len]-byte encoded record sits at [pos] in a
     caller-owned buffer with its u16 frame header at [pos - 2] — exactly
     what {!Slb.drain_raw} hands out, since SLB chains and bin buffers use
     identical framing.  The whole frame is forwarded with one stable-memory
     write; the record is never decoded (the sequence watermark comes from
-    {!Log_record.peek_seq}).
+    {!Log_record.peek_seq}).  [`Page_full] means the frame did NOT fit —
+    the caller must {!seal_page} and retry.
     @raise Pool_exhausted when the page pool is empty. *)
 
 val seal_page : t -> log_disk:Log_disk.t -> (int64 * bytes) option

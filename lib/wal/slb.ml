@@ -1,4 +1,5 @@
 exception Slb_full
+exception Record_too_large of { bytes : int; limit : int }
 
 (* Block layout: u32 txn_id | u32 next_block+1 (0 = none) | u32 used |
    payload of u16-framed records.  Block ids are region-local. *)
@@ -15,7 +16,8 @@ type region = {
   blocks : Mrdb_hw.Stable_mem.Blocks.alloc;
   chains : (int, chain) Hashtbl.t; (* txn -> uncommitted chain *)
   scratch : bytes; (* append framing buffer: one frame composed, one write *)
-  rscratch : bytes; (* drain read buffer: one block payload decoded in place *)
+  rscratch : bytes; (* drain read buffer: one block payload, read in place *)
+  max_frame : int; (* largest frame that fits both an SLB block and a log page *)
   recorder : Mrdb_obs.Flight_recorder.t option ref; (* shared with t *)
 }
 
@@ -29,7 +31,8 @@ type t = {
 let mk_region layout recorder owner =
   (* Both scratches are sized to a block once, up front: the steady-state
      append and drain paths never allocate. *)
-  let block_bytes = (Stable_layout.config layout).Stable_layout.slb_block_bytes in
+  let cfg = Stable_layout.config layout in
+  let block_bytes = cfg.Stable_layout.slb_block_bytes in
   {
     owner;
     layout;
@@ -37,6 +40,10 @@ let mk_region layout recorder owner =
     chains = Hashtbl.create 64;
     scratch = Bytes.create block_bytes;
     rscratch = Bytes.create block_bytes;
+    max_frame =
+      Stdlib.min (block_bytes - payload_off)
+        (Log_page.payload_capacity ~page_bytes:cfg.Stable_layout.log_page_bytes
+           ~dir_size:cfg.Stable_layout.dir_size);
     recorder;
   }
 
@@ -108,8 +115,11 @@ module Region = struct
   let append r ~txn_id record =
     let size = Log_record.encoded_size record in
     let frame = 2 + size in
-    if frame > block_bytes r - payload_off then
-      Mrdb_util.Fatal.misuse "Slb.Region.append: record exceeds block size";
+    (* The one record-size check of the pipeline: a frame the drain could
+       not place in an empty log page is refused here, before anything is
+       written, while the transaction can still abort. *)
+    if frame > r.max_frame then
+      raise (Record_too_large { bytes = frame; limit = r.max_frame });
     (* Compose the whole frame (u16 length + record) in the reusable scratch,
        then issue exactly one stable-memory write — no per-record buffers. *)
     Mrdb_util.Codec.put_u16 r.scratch 0 size;
@@ -167,12 +177,6 @@ module Region = struct
       b := get_next r !b
     done
 
-  let decode_chain r first =
-    let records = ref [] in
-    iter_chain_raw r first ~f:(fun buf ~pos ~len ->
-        records := Log_record.decode_at buf ~pos ~len :: !records);
-    List.rev !records
-
   let free_chain r first =
     let b = ref first in
     while !b >= 0 do
@@ -206,11 +210,6 @@ module Region = struct
         free_chain r chain.first;
         Hashtbl.remove r.chains txn_id
 
-  let records_of r ~txn_id =
-    match Hashtbl.find_opt r.chains txn_id with
-    | None -> []
-    | Some chain -> decode_chain r chain.first
-
   let pending_committed (r : t) =
     Stable_layout.committed_tail r.layout ~region:r.owner
     - Stable_layout.committed_head r.layout ~region:r.owner
@@ -243,17 +242,6 @@ end
 (* Whole-buffer queries: aggregate or search across all regions. *)
 let abort t ~txn_id =
   Array.iter (fun r -> Region.abort r ~txn_id) t.regions
-
-let records_of t ~txn_id =
-  (* A transaction's chain lives in exactly one region (its executor's). *)
-  let rec find i =
-    if i >= Array.length t.regions then []
-    else
-      match Region.records_of t.regions.(i) ~txn_id with
-      | [] -> find (i + 1)
-      | records -> records
-  in
-  find 0
 
 let pending_committed t =
   Array.fold_left (fun n r -> n + Region.pending_committed r) 0 t.regions
@@ -305,10 +293,6 @@ let drain_raw t ~f =
         done;
         !n)
   end
-
-let drain t ~f =
-  drain_raw t ~f:(fun ~txn_id buf ~pos ~len ->
-      f ~txn_id (Log_record.decode_at buf ~pos ~len))
 
 let recover layout =
   let t = create layout in

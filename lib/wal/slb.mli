@@ -20,8 +20,8 @@
     uncommitted to the {e committed} list — a stable ring written in commit
     order; appending that ring entry {e is} the commit point ("transactions
     can commit instantly — they do not need to wait until the REDO log
-    records are flushed to disk").  The recovery CPU later {!drain}s
-    committed chains into the Stable Log Tail and frees their blocks.
+    records are flushed to disk").  The recovery CPU later drains committed
+    chains into the Stable Log Tail ({!drain_raw}) and frees their blocks.
 
     After a crash, {!recover} rebuilds each region's block allocator from
     its committed ring stripe (uncommitted chains are garbage by
@@ -32,6 +32,13 @@ type t
 exception Slb_full
 (** Raised when block or ring capacity is exhausted; the caller is expected
     to stall the writer until the recovery CPU drains. *)
+
+exception Record_too_large of { bytes : int; limit : int }
+(** A record's frame ([bytes], u16 header included) exceeds [limit], the
+    smaller of an SLB block's payload and a log page's payload: the drain
+    could never place it.  Raised by {!Region.append} before anything is
+    written, so the transaction aborts cleanly; capacity exhaustion (raise
+    the block or page size), never corruption. *)
 
 val create : Stable_layout.t -> t
 (** Fresh SLB over a fresh layout (zeroes volatile chain state only); one
@@ -47,8 +54,9 @@ val set_recorder : t -> Mrdb_obs.Flight_recorder.t option -> unit
     bench/hotpath.ml's [append_obs] bounds the cost).  [None] detaches;
     the recorder is shared by all regions. *)
 
-(** Per-region operations — the striped API.  An executor must only touch
-    its own region (lint rule R7 confines the append call sites). *)
+(** Per-region operations — the striped API.  An executor only touches
+    its own region: [Db_system] appends through the transaction's
+    executor id. *)
 module Region : sig
   type t
 
@@ -59,6 +67,8 @@ module Region : sig
       region.  The frame (u16 length + record) is composed in a reusable
       per-region scratch buffer and lands in stable memory as exactly one
       write — the steady-state append path allocates nothing.
+      @raise Record_too_large when the frame exceeds an SLB block's or a
+      log page's payload; nothing has been written.
       @raise Slb_full when the region has no free block. *)
 
   val commit : t -> txn_id:int -> unit
@@ -73,7 +83,6 @@ module Region : sig
   val abort : t -> txn_id:int -> unit
   (** Discard the transaction's chain and free its blocks. *)
 
-  val records_of : t -> txn_id:int -> Log_record.t list
   val pending_committed : t -> int
   val uncommitted_count : t -> int
   val blocks_free : t -> int
@@ -92,11 +101,6 @@ val region : t -> int -> Region.t
 
 val abort : t -> txn_id:int -> unit
 (** Discard the transaction's chain whichever region holds it. *)
-
-val records_of : t -> txn_id:int -> Log_record.t list
-(** Current (uncommitted) chain contents, oldest first, searching all
-    regions — test hook.  Covers precommitted group-commit transactions
-    too: their chains are uncommitted until the group flushes. *)
 
 val pending_committed : t -> int
 (** Committed transactions not yet drained, all regions. *)
@@ -122,7 +126,3 @@ val drain_raw : t -> f:(txn_id:int -> bytes -> pos:int -> len:int -> unit) -> in
     Reentrant calls (possible when [f] suspends on log-disk backpressure
     and the event loop runs another commit) return 0 immediately; the
     outer drain picks up anything committed meanwhile. *)
-
-val drain : t -> f:(txn_id:int -> Log_record.t -> unit) -> int
-(** {!drain_raw} with each frame decoded into a {!Log_record.t} —
-    convenience for tests and low-rate callers. *)

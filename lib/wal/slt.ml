@@ -1,7 +1,6 @@
 open Mrdb_storage
 
 exception Bin_table_full of { partition : Addr.partition }
-exception Record_too_large of { partition : Addr.partition; bytes : int }
 
 type trigger = Update_count | Age
 
@@ -203,43 +202,12 @@ let seal_and_write t bin =
       if not had_pages then push_first_lsn t bin;
       check_age_triggers t
 
-let accept t record =
-  let bin =
-    match bin_of_index t record.Log_record.bin_index with
-    | Some bin -> bin
-    | None ->
-        Mrdb_util.Fatal.invariantf ~mod_:"Slt" "accept: record for unknown bin %d"
-          record.Log_record.bin_index
-  in
-  let rec append () =
-    match Partition_bin.append bin record with
-    | `Buffered -> ()
-    | `Page_full ->
-        seal_and_write t bin;
-        (match Partition_bin.append bin record with
-        | `Buffered -> ()
-        | `Page_full ->
-            raise
-              (Record_too_large
-                 {
-                   partition = Partition_bin.partition bin;
-                   bytes = Log_record.encoded_size record;
-                 }))
-    | exception Partition_bin.Pool_exhausted ->
-        let sim = Log_disk.sim t.log_disk in
-        if Mrdb_sim.Sim.step sim then append ()
-        else raise Partition_bin.Pool_exhausted
-  in
-  append ();
-  if Partition_bin.update_count bin >= t.n_update then
-    request_checkpoint t (Partition_bin.partition bin) Update_count
-
 let accept_raw t buf ~pos ~len =
-  (* Zero-copy sibling of {!accept}: routes the encoded frame straight
-     from the SLB drain buffer into the partition bin.  The bin index is
-     peeked out of the frame without decoding; the frame stays valid
-     across the backpressure waits below because reentrant drains are
-     excluded by the SLB guard and commits use a different scratch. *)
+  (* Routes the encoded frame straight from the SLB drain buffer into the
+     partition bin.  The bin index is peeked out of the frame without
+     decoding; the frame stays valid across the backpressure waits below
+     because reentrant drains are excluded by the SLB guard and commits
+     use a different scratch. *)
   let bin =
     let idx = Log_record.peek_bin_index buf ~pos in
     match bin_of_index t idx with
@@ -256,9 +224,10 @@ let accept_raw t buf ~pos ~len =
         (match Partition_bin.append_raw bin buf ~pos ~len with
         | `Buffered -> ()
         | `Page_full ->
-            raise
-              (Record_too_large
-                 { partition = Partition_bin.partition bin; bytes = len }))
+            (* [Slb.Region.append] refuses any frame larger than a page's
+               payload, so an empty page always takes the frame. *)
+            Mrdb_util.Fatal.invariantf ~mod_:"Slt"
+              "accept_raw: a %d-byte frame does not fit an empty page" (len + 2))
     | exception Partition_bin.Pool_exhausted ->
         let sim = Log_disk.sim t.log_disk in
         if Mrdb_sim.Sim.step sim then append ()

@@ -18,10 +18,6 @@ exception Bin_table_full of { partition : Addr.partition }
 (** The stable bin table has no free slot for this partition: capacity
     exhaustion (raise the configured bin count), never corruption. *)
 
-exception Record_too_large of { partition : Addr.partition; bytes : int }
-(** A single record cannot fit even an empty log page: capacity
-    exhaustion (raise the log page size), never corruption. *)
-
 type trigger = Update_count | Age
 
 type t
@@ -56,16 +52,16 @@ val bin_index_of : t -> Addr.partition -> int
 
 val find_bin : t -> Addr.partition -> Partition_bin.t option
 
-val accept : t -> Log_record.t -> unit
-(** The sorting step: place one committed record into its bin, sealing and
-    writing pages as they fill, and fire checkpoint triggers. *)
-
 val accept_raw : t -> bytes -> pos:int -> len:int -> unit
-(** Zero-copy {!accept}: sort one encoded record frame — as handed out by
-    {!Slb.drain_raw}, u16 header at [pos - 2] — into its bin without
-    decoding or copying it.  The bin index and sequence watermark are
-    peeked out of the encoding; the frame lands in the bin buffer as one
-    stable-memory write.  This is the hot drain path. *)
+(** The sorting step: place one committed record frame — as handed out by
+    {!Slb.drain_raw}, u16 header at [pos - 2] — into its bin, sealing and
+    writing pages as they fill, and fire checkpoint triggers.  The record
+    is neither decoded nor copied: the bin index and sequence watermark
+    are peeked out of the encoding, and the frame lands in the bin buffer
+    as one stable-memory write.  The frame must fit an empty log page,
+    which {!Slb.Region.append} guarantees for every logged record.
+    @raise Mrdb_util.Fatal.Invariant on an unknown bin index or a frame
+    larger than a page's payload. *)
 
 val flush_partition : t -> Addr.partition -> unit
 (** Seal and write the partition's partial page, if any (checkpoint step 7

@@ -1,11 +1,15 @@
 (* Test-side oracles for the zero-copy REDO paths.
 
-   The library encodes records in place ([Log_record.encode_into]) and
-   replays them straight from page bytes ([Restorer.replay]).  This module
-   keeps the reference forms those paths are checked against: the
+   The library encodes records in place ([Log_record.encode_into]), moves
+   them as encoded frames from the SLB to the partition bins
+   ([Slb.drain_raw] -> [Slt.accept_raw] -> [Partition_bin.append_raw]),
+   and replays them straight from page bytes ([Restorer.replay]).  This
+   module keeps the reference forms those paths are checked against: the
    allocating Enc/Dec record codec, frame decoding into record lists, and
    the list-based replay loop (decode every record, then
-   [Part_op.apply] / [Replay.apply_cmd] per record). *)
+   [Part_op.apply] / [Replay.apply_cmd] per record).  It also drives the
+   frame path with record values, so tests can build their input as
+   records and read it back as records. *)
 
 open Mrdb_storage
 open Mrdb_wal
@@ -71,6 +75,29 @@ let frame_record r =
   framed
 
 let frame_records records = Bytes.concat Bytes.empty (List.map frame_record records)
+
+(* The same framing by the library encoder: what [Slb.Region.append]
+   writes and [Slb.drain_raw] hands out. *)
+let frame r =
+  let size = Log_record.encoded_size r in
+  let b = Bytes.create (2 + size) in
+  Mrdb_util.Codec.put_u16 b 0 size;
+  ignore (Log_record.encode_into r b ~pos:2 : int);
+  b
+
+(* Sort one record into its bin through the production entry point. *)
+let accept slt r =
+  let b = frame r in
+  Slt.accept_raw slt b ~pos:2 ~len:(Bytes.length b - 2)
+
+let bin_append bin r =
+  let b = frame r in
+  Partition_bin.append_raw bin b ~pos:2 ~len:(Bytes.length b - 2)
+
+(* [Slb.drain_raw], with each frame decoded by the reference codec. *)
+let drain slb ~f =
+  Slb.drain_raw slb ~f:(fun ~txn_id buf ~pos ~len ->
+      f ~txn_id (decode (Bytes.sub buf pos len)))
 
 let records_of_frames (frames : Log_page.frames list) =
   List.concat_map

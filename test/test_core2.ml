@@ -75,24 +75,28 @@ let test_group_commit_precommitted_redo_in_slb () =
   let config = { Config.small with Config.commit_mode = Config.group 10 } in
   let db = Db.create ~config () in
   Db.create_relation db ~name:"t" ~schema;
-  let first = insert_committed db 1 "x" in
+  (* Records logged but not yet sorted into a bin. *)
+  let undrained () =
+    Mrdb_sim.Trace.count (Db.trace db) "log_records"
+    - Mrdb_sim.Trace.count (Db.trace db) "sorter_records_streamed"
+  in
+  let undrained0 = undrained () in
+  ignore (insert_committed db 1 "x");
   (* Count from here: the first insert also registered the partition. *)
   let written () = Mrdb_hw.Stable_mem.bytes_written (Db.stable_mem db) in
   let log_bytes () = Mrdb_sim.Trace.count (Db.trace db) "codec_log_bytes" in
   let written0 = written () and log0 = log_bytes () in
-  let ids = first :: List.map (fun i -> insert_committed db i "x") [ 2; 3 ] in
+  List.iter (fun i -> ignore (insert_committed db i "x")) [ 2; 3 ];
   check bool_t "REDO written to stable memory at append" true
     (written () - written0 >= log_bytes () - log0);
   let slb = Db.slb db in
   check int_t "three uncommitted chains" 3 (Mrdb_wal.Slb.uncommitted_count slb);
   check int_t "no commit records yet" 0 (Mrdb_wal.Slb.pending_committed slb);
-  List.iter
-    (fun id ->
-      check bool_t "chain readable before the flush" true
-        (Mrdb_wal.Slb.records_of slb ~txn_id:id <> []))
-    ids;
+  check int_t "each chain holds its record until the flush" 3
+    (undrained () - undrained0);
   Db.flush_group db;
-  check int_t "flush commits every chain" 0 (Mrdb_wal.Slb.uncommitted_count slb)
+  check int_t "flush commits every chain" 0 (Mrdb_wal.Slb.uncommitted_count slb);
+  check int_t "every chain drains at the flush" undrained0 (undrained ())
 
 let test_group_commit_crash_frees_unflushed_chains () =
   let config = { Config.small with Config.commit_mode = Config.group 10 } in
@@ -177,6 +181,44 @@ let test_group_commit_slb_full_at_append () =
   Db.recover db;
   check int_t "every precommitted transaction durable, the failed one absent"
     (!precommitted + 1) (List.length (kv_of db))
+
+(* -- record size ---------------------------------------------------------------- *)
+
+let test_oversized_record_refused_at_append () =
+  (* [Config.small]: an SLB block holds a 500-byte frame, a log page's
+     payload 428 bytes.  A row whose REDO frame fits the block but not a
+     page (420 characters), or neither (520), is refused at append with
+     the structured exception, while its transaction can still abort.
+     Nothing reaches the committed ring, so no drain — at commit or at
+     any later restart — ever meets a record no page can hold. *)
+  let db = Db.create ~config:Config.small () in
+  Db.create_relation db ~name:"t" ~schema;
+  ignore (insert_committed db 1 "small");
+  let slb = Db.slb db in
+  List.iter
+    (fun n ->
+      let before = Db.cardinality db ~rel:"t" in
+      (match
+         Db.with_txn db (fun tx ->
+             Db.insert db tx ~rel:"t" [| Schema.int n; Schema.S (String.make n 'x') |])
+       with
+      | _ -> Alcotest.failf "a %d-character row committed" n
+      | exception Mrdb_wal.Slb.Record_too_large { bytes; limit } ->
+          check bool_t "the frame is over the limit" true (bytes > limit));
+      check int_t "cardinality unchanged" before (Db.cardinality db ~rel:"t");
+      check int_t "nothing committed" 0 (Mrdb_wal.Slb.pending_committed slb))
+    [ 420; 520 ];
+  Db.crash db;
+  Db.recover db;
+  Db.recover_everything db;
+  ignore (insert_committed db 2 "after");
+  Db.crash db;
+  Db.recover db;
+  check
+    (Alcotest.list (Alcotest.pair int_t Alcotest.string))
+    "restart works and later commits are durable"
+    [ (1, "small"); (2, "after") ]
+    (kv_of db)
 
 (* -- log window wrap under sustained load ------------------------------------- *)
 
@@ -421,6 +463,11 @@ let () =
             test_default_commit_durable_at_return;
           Alcotest.test_case "SLB exhaustion surfaces at append" `Quick
             test_group_commit_slb_full_at_append;
+        ] );
+      ( "record size",
+        [
+          Alcotest.test_case "oversized record refused at append" `Quick
+            test_oversized_record_refused_at_append;
         ] );
       ( "log window",
         [ Alcotest.test_case "wraps safely under load" `Quick test_log_window_wraps_safely ] );

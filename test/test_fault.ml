@@ -366,7 +366,7 @@ let test_torn_tail_page_discarded () =
       ()
   in
   let accept ~txn ~seq =
-    Slt.accept slt
+    Redo_oracle.accept slt
       (Log_record.make ~tag:Log_record.Relation_op
          ~bin_index:(Slt.bin_index_of slt part_a) ~txn_id:txn ~seq
          ~op:(Part_op.Insert { slot = 0; data = Bytes.make 16 'd' }))
@@ -421,7 +421,7 @@ let test_torn_middle_page_still_fails () =
       ()
   in
   let accept ~seq =
-    Slt.accept slt
+    Redo_oracle.accept slt
       (Log_record.make ~tag:Log_record.Relation_op
          ~bin_index:(Slt.bin_index_of slt part_a) ~txn_id:1 ~seq
          ~op:(Part_op.Insert { slot = 0; data = Bytes.make 16 'd' }))

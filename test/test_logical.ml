@@ -107,28 +107,36 @@ let test_record_tag_fold () =
   check int_t "peek_bin_index" 4 (Log_record.peek_bin_index b ~pos:0);
   check int_t "peek_seq" 6 (Log_record.peek_seq b ~pos:0);
   check bool_t "roundtrip" true (Log_record.equal r (Redo_oracle.decode b));
-  check bool_t "decode_at roundtrip" true
-    (Log_record.equal r (Log_record.decode_at b ~pos:0 ~len:(Bytes.length b)))
+  check bool_t "command_at roundtrip" true
+    (Cmd_op.equal cmd (Log_record.command_at b ~pos:0 ~len:(Bytes.length b)))
 
-(* Satellite (a): malformed input raises the structured form, never a bare
-   [Failure]. *)
+(* Malformed input raises the structured form, never a bare [Failure],
+   in the in-place readers restart runs on log-page bytes. *)
 let test_malformed_decode_raises_structured () =
   raises_invariant "reserved tag byte" (fun () ->
-      Log_record.decode_at (Bytes.of_string "\003\001\001\001") ~pos:0 ~len:4);
+      Log_record.body_at (Bytes.of_string "\003\001\001\001") ~pos:0);
+  (* An insert the empty partition would accept, but for the byte after
+     its image. *)
   let phys =
     Log_record.make ~tag:Log_record.Relation_op ~bin_index:1 ~txn_id:1 ~seq:1
-      ~op:(Part_op.Delete { slot = 3 })
+      ~op:(Part_op.Insert { slot = 0; data = Bytes.of_string "abc" })
   in
-  let b = Redo_oracle.encode phys in
+  let b = Bytes.cat (Redo_oracle.encode phys) (Bytes.make 1 '\000') in
+  let p = Partition.create ~size:256 ~segment:0 ~partition:0 in
   raises_invariant "trailing bytes" (fun () ->
-      Log_record.decode_at (Bytes.cat b (Bytes.make 1 '\000')) ~pos:0
-        ~len:(Bytes.length b + 1));
-  (* A multi-byte zigzag varint cut by the frame end: the argument parse
-     overruns [stop] and must be reported, not read into the next frame. *)
+      Part_op.apply_encoded p b ~pos:(Log_record.body_at b ~pos:0)
+        ~stop:(Bytes.length b));
   let cmd = Cmd_op.make ~op_id:3 ~rel_id:1 ~key:1 ~args:[| 1_000_000L |] in
   let cb = Redo_oracle.encode (mk_cmd_record ~seq:1 cmd) in
+  (* A trailing byte that opens one more argument varint, closed only past
+     the frame end. *)
+  let trailing = Bytes.cat cb (Bytes.of_string "\x80\x01") in
+  raises_invariant "trailing command byte" (fun () ->
+      ignore (Log_record.command_at trailing ~pos:0 ~len:(Bytes.length cb + 1)));
+  (* A multi-byte zigzag varint cut by the frame end: the argument parse
+     overruns [stop] and must be reported, not read into the next frame. *)
   raises_invariant "argument varint straddling the frame end" (fun () ->
-      ignore (Log_record.decode_at cb ~pos:0 ~len:(Bytes.length cb - 1)))
+      ignore (Log_record.command_at cb ~pos:0 ~len:(Bytes.length cb - 1)))
 
 (* -- dispatch table --------------------------------------------------------- *)
 

@@ -54,9 +54,10 @@ let test_record_small_updates_are_small () =
   in
   check bool_t "under 24 bytes" true (Log_record.encoded_size r <= 24)
 
-(* Golden equivalence: the zero-copy codec (encoded_size / encode_into /
-   decode_at) must agree byte-for-byte with the allocating Enc/Dec
-   reference codec on arbitrary records. *)
+(* Golden equivalence: the zero-copy codec (encoded_size / encode_into,
+   and the in-place readers the drain and replay use) must agree
+   byte-for-byte with the allocating Enc/Dec reference codec on arbitrary
+   records. *)
 let gen_record =
   QCheck.Gen.(
     let* tag = oneofl [ Log_record.Relation_op; Index_op; Catalog_op ] in
@@ -92,7 +93,12 @@ let prop_record_codec_equivalence =
       size = Bytes.length reference
       && stop = pad + size
       && Bytes.equal reference (Bytes.sub buf pad size)
-      && Log_record.equal r (Log_record.decode_at buf ~pos:pad ~len:size)
+      && Log_record.peek_bin_index buf ~pos:pad = r.Log_record.bin_index
+      && Log_record.peek_seq buf ~pos:pad = r.Log_record.seq
+      && (match r.Log_record.op with
+         | Log_record.Physical op ->
+             Log_record.body_at buf ~pos:pad = pad + size - Part_op.encoded_size op
+         | Log_record.Command _ -> false (* gen_record draws physical records *))
       && Log_record.equal r (Redo_oracle.decode reference))
 
 (* -- Log_page ----------------------------------------------------------------- *)
@@ -150,7 +156,7 @@ let test_slb_append_commit_drain () =
   check int_t "two pending" 2 (Slb.pending_committed slb);
   let order = ref [] in
   let n =
-    Slb.drain slb ~f:(fun ~txn_id r ->
+    Redo_oracle.drain slb ~f:(fun ~txn_id r ->
         order := (txn_id, r.Log_record.seq) :: !order)
   in
   check int_t "drained 2" 2 n;
@@ -181,11 +187,12 @@ let test_slb_chains_span_blocks () =
   for i = 1 to 20 do
     Slb.Region.append r0 ~txn_id:1 (mk_record ~seq:i ~size:60 ())
   done;
-  check int_t "records preserved" 20 (List.length (Slb.records_of slb ~txn_id:1));
+  check int_t "one uncommitted chain" 1 (Slb.uncommitted_count slb);
   Slb.Region.commit r0 ~txn_id:1;
   let seen = ref [] in
   ignore
-    (Slb.drain slb ~f:(fun ~txn_id:_ r -> seen := r.Log_record.seq :: !seen));
+    (Redo_oracle.drain slb ~f:(fun ~txn_id:_ r -> seen := r.Log_record.seq :: !seen));
+  check int_t "records preserved" 20 (List.length !seen);
   check (Alcotest.list int_t) "order across blocks"
     (List.init 20 (fun i -> i + 1))
     (List.rev !seen)
@@ -223,7 +230,7 @@ let test_slb_survives_crash () =
   check int_t "committed chain survives" 1 (Slb.pending_committed slb');
   let drained = Hashtbl.create 4 in
   ignore
-    (Slb.drain slb' ~f:(fun ~txn_id _ ->
+    (Redo_oracle.drain slb' ~f:(fun ~txn_id _ ->
          Hashtbl.replace drained txn_id
            (1 + Option.value ~default:0 (Hashtbl.find_opt drained txn_id))));
   check (Alcotest.list (Alcotest.pair int_t int_t)) "txn1 intact" [ (1, 2) ]
@@ -250,7 +257,7 @@ let test_slb_ring_wraparound () =
       Slb.Region.commit r0 ~txn_id:txn
     done;
     let order = ref [] in
-    let n = Slb.drain slb ~f:(fun ~txn_id r -> order := (txn_id, r.Log_record.seq) :: !order) in
+    let n = Redo_oracle.drain slb ~f:(fun ~txn_id r -> order := (txn_id, r.Log_record.seq) :: !order) in
     check int_t "wave drained" 20 n;
     check
       (Alcotest.list (Alcotest.pair int_t int_t))
@@ -274,7 +281,7 @@ let test_slb_ring_wrap_crash_recover () =
     Slb.Region.append r0 ~txn_id:txn (mk_record ~txn ~seq:1 ());
     Slb.Region.commit r0 ~txn_id:txn
   done;
-  ignore (Slb.drain slb ~f:(fun ~txn_id:_ _ -> ()));
+  ignore (Redo_oracle.drain slb ~f:(fun ~txn_id:_ _ -> ()));
   for txn = 100 to 115 do
     Slb.Region.append r0 ~txn_id:txn (mk_record ~txn ~seq:1 ());
     Slb.Region.append r0 ~txn_id:txn (mk_record ~txn ~seq:2 ());
@@ -285,7 +292,7 @@ let test_slb_ring_wrap_crash_recover () =
   let slb' = Slb.recover layout' in
   check int_t "wrapped commits survive" 16 (Slb.pending_committed slb');
   let order = ref [] in
-  ignore (Slb.drain slb' ~f:(fun ~txn_id r -> order := (txn_id, r.Log_record.seq) :: !order));
+  ignore (Redo_oracle.drain slb' ~f:(fun ~txn_id r -> order := (txn_id, r.Log_record.seq) :: !order));
   check
     (Alcotest.list (Alcotest.pair int_t int_t))
     "wrapped order intact"
@@ -414,7 +421,7 @@ let test_bin_append_and_counts () =
   let layout = mk_layout () in
   let bin = Partition_bin.activate layout ~idx:0 part_a in
   for i = 1 to 5 do
-    match Partition_bin.append bin (mk_record ~seq:i ()) with
+    match Redo_oracle.bin_append bin (mk_record ~seq:i ()) with
     | `Buffered -> ()
     | `Page_full -> Alcotest.fail "should fit"
   done;
@@ -427,8 +434,8 @@ let test_bin_seal_and_flush () =
   let layout = mk_layout () in
   let ld = Log_disk.create sim ~layout ~window_pages:8 () in
   let bin = Partition_bin.activate layout ~idx:0 part_a in
-  ignore (Partition_bin.append bin (mk_record ~seq:1 ()));
-  ignore (Partition_bin.append bin (mk_record ~seq:2 ()));
+  ignore (Redo_oracle.bin_append bin (mk_record ~seq:1 ()));
+  ignore (Redo_oracle.bin_append bin (mk_record ~seq:2 ()));
   match Partition_bin.seal_page bin ~log_disk:ld with
   | None -> Alcotest.fail "should seal"
   | Some (lsn, image) ->
@@ -451,7 +458,7 @@ let test_bin_directory_spans () =
   let bin = Partition_bin.activate layout ~idx:0 part_a in
   let embedded = ref [] in
   for page = 1 to 5 do
-    ignore (Partition_bin.append bin (mk_record ~seq:page ()));
+    ignore (Redo_oracle.bin_append bin (mk_record ~seq:page ()));
     match Partition_bin.seal_page bin ~log_disk:ld with
     | None -> Alcotest.fail "seal"
     | Some (lsn, image) ->
@@ -474,13 +481,13 @@ let test_bin_reset_after_checkpoint () =
   let layout = mk_layout () in
   let ld = Log_disk.create sim ~layout ~window_pages:8 () in
   let bin = Partition_bin.activate layout ~idx:0 part_a in
-  ignore (Partition_bin.append bin (mk_record ()));
+  ignore (Redo_oracle.bin_append bin (mk_record ()));
   (match Partition_bin.seal_page bin ~log_disk:ld with
   | Some (lsn, image) ->
       Log_disk.write_page ld ~lsn image (fun () -> Partition_bin.flush_complete bin ~lsn)
   | None -> Alcotest.fail "seal");
   Mrdb_sim.Sim.run sim;
-  ignore (Partition_bin.append bin (mk_record ~seq:2 ()));
+  ignore (Redo_oracle.bin_append bin (mk_record ~seq:2 ()));
   Partition_bin.reset_after_checkpoint bin;
   check int_t "updates zero" 0 (Partition_bin.update_count bin);
   check i64_t "first lsn cleared" (-1L) (Partition_bin.first_lsn bin);
@@ -495,14 +502,14 @@ let test_bin_state_survives_crash () =
   let ld = Log_disk.create sim ~layout ~window_pages:8 () in
   let bin = Partition_bin.activate layout ~idx:0 part_a in
   for i = 1 to 3 do
-    ignore (Partition_bin.append bin (mk_record ~seq:i ()))
+    ignore (Redo_oracle.bin_append bin (mk_record ~seq:i ()))
   done;
   (match Partition_bin.seal_page bin ~log_disk:ld with
   | Some (lsn, image) ->
       Log_disk.write_page ld ~lsn image (fun () -> Partition_bin.flush_complete bin ~lsn)
   | None -> Alcotest.fail "seal");
   Mrdb_sim.Sim.run sim;
-  ignore (Partition_bin.append bin (mk_record ~seq:4 ()));
+  ignore (Redo_oracle.bin_append bin (mk_record ~seq:4 ()));
   (* Crash: reload from the same stable memory. *)
   let layout' = Stable_layout.attach cfg mem in
   match Partition_bin.load layout' ~idx:0 with
@@ -555,7 +562,7 @@ let test_slt_accept_and_flush () =
   (* 512-byte pages hold a handful of ~30-byte frames; push enough to force
      page writes. *)
   for i = 1 to 40 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
   done;
   Mrdb_sim.Sim.run w.sim;
   let bin = Option.get (Slt.find_bin w.slt part_a) in
@@ -566,12 +573,12 @@ let test_slt_accept_and_flush () =
 let test_slt_update_count_trigger () =
   let w = mk_slt ~n_update:10 () in
   for i = 1 to 10 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
   done;
   check bool_t "checkpoint requested once" true
     (!(w.requests) = [ (part_a, Slt.Update_count) ]);
   (* More records do not duplicate the request. *)
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:11 part_a);
+  Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:11 part_a);
   check int_t "still one" 1 (List.length !(w.requests))
 
 let test_slt_age_trigger () =
@@ -579,14 +586,14 @@ let test_slt_age_trigger () =
      checkpointed as hot traffic advances the window. *)
   let w = mk_slt ~n_update:1_000_000 ~window:8 () in
   ignore (Slt.bin_index_of w.slt part_a);
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
+  Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
   Slt.flush_partition w.slt part_a;
   Mrdb_sim.Sim.run w.sim;
   (* Hot partition writes many pages. *)
   let seq = ref 0 in
   for _ = 1 to 200 do
     incr seq;
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:!seq ~size:100 part_b)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:!seq ~size:100 part_b)
   done;
   Mrdb_sim.Sim.run w.sim;
   check bool_t "age trigger fired for cold partition" true
@@ -596,7 +603,7 @@ let test_slt_age_trigger () =
 let test_slt_checkpoint_finished_resets () =
   let w = mk_slt ~n_update:5 () in
   for i = 1 to 5 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:i part_a)
   done;
   check int_t "requested" 1 (List.length !(w.requests));
   Slt.checkpoint_finished w.slt part_a ~watermark:max_int;
@@ -606,7 +613,7 @@ let test_slt_checkpoint_finished_resets () =
   check bool_t "inactive" false (Partition_bin.has_outstanding bin);
   (* Trigger can fire again after reset. *)
   for i = 1 to 5 do
-    Slt.accept w.slt (record_for w ~txn:2 ~seq:(100 + i) part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:2 ~seq:(100 + i) part_a)
   done;
   check int_t "requested again" 2 (List.length !(w.requests))
 
@@ -614,7 +621,7 @@ let test_slt_records_for_recovery_roundtrip () =
   let w = mk_slt ~n_update:1_000_000 () in
   let n = 120 in
   for i = 1 to n do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
   done;
   Mrdb_sim.Sim.run w.sim;
   let result = ref None in
@@ -631,7 +638,7 @@ let test_slt_records_for_recovery_roundtrip () =
 let test_slt_recovery_includes_buffered_and_inflight () =
   let w = mk_slt ~n_update:1_000_000 () in
   for i = 1 to 30 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
   done;
   (* Do NOT run the simulator: disk writes are still in flight, and some
      records remain buffered.  Recovery must still see everything, reading
@@ -665,7 +672,7 @@ let find_sub hay needle =
 let test_slt_torn_inflight_rejected () =
   let w = mk_slt ~n_update:1_000_000 () in
   for i = 1 to 30 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
   done;
   let bin = Option.get (Slt.find_bin w.slt part_a) in
   let lsn = List.fold_left min Int64.max_int (Partition_bin.inflight_lsns bin) in
@@ -691,10 +698,10 @@ let test_slt_survives_crash () =
   let cfg = small_config in
   let w = mk_slt ~cfg ~n_update:1_000_000 () in
   for i = 1 to 50 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
   done;
   for i = 1 to 7 do
-    Slt.accept w.slt (record_for w ~txn:2 ~seq:i part_b)
+    Redo_oracle.accept w.slt (record_for w ~txn:2 ~seq:i part_b)
   done;
   Mrdb_sim.Sim.run w.sim;
   (* Crash: rebuild layout + SLT over the same stable memory and disk. *)
@@ -737,7 +744,7 @@ let test_slt_survives_crash () =
 let test_slt_window_pressure () =
   let w = mk_slt ~n_update:1_000_000 ~window:8 () in
   check (Alcotest.float 0.001) "no pressure when idle" 0.0 (Slt.window_pressure w.slt);
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
+  Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
   Slt.flush_partition w.slt part_a;
   Mrdb_sim.Sim.run w.sim;
   check bool_t "some pressure" true (Slt.window_pressure w.slt > 0.0)
@@ -748,7 +755,7 @@ let test_slt_window_pressure () =
 let test_cut_and_discard () =
   let w = mk_slt ~n_update:1_000_000 () in
   for i = 1 to 30 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
   done;
   Mrdb_sim.Sim.run w.sim;
   let bin = Option.get (Slt.find_bin w.slt part_a) in
@@ -761,7 +768,7 @@ let test_cut_and_discard () =
   check int_t "update count reset at cut" 0 (Partition_bin.update_count bin);
   (* Post-cut records build the live generation. *)
   for i = 31 to 35 do
-    Slt.accept w.slt (record_for w ~txn:2 ~seq:i part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:2 ~seq:i part_a)
   done;
   (* Recovery before the discard sees both generations in order. *)
   let result = ref None in
@@ -793,12 +800,12 @@ let test_cut_survives_crash () =
   let cfg = small_config in
   let w = mk_slt ~cfg ~n_update:1_000_000 () in
   for i = 1 to 20 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
   done;
   Mrdb_sim.Sim.run w.sim;
   ignore (Slt.begin_checkpoint w.slt part_a);
   for i = 21 to 25 do
-    Slt.accept w.slt (record_for w ~txn:2 ~seq:i part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:2 ~seq:i part_a)
   done;
   Mrdb_sim.Sim.run w.sim;
   (* Crash: reload everything from stable memory. *)
@@ -828,15 +835,15 @@ let test_cut_empty_bin () =
 
 let test_double_cut_busy () =
   let w = mk_slt ~n_update:1_000_000 () in
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
+  Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
   check bool_t "first cut" true (Slt.begin_checkpoint w.slt part_a = `Cut);
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:2 part_a);
+  Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:2 part_a);
   check bool_t "second cut refused while shadow parked" true
     (Slt.begin_checkpoint w.slt part_a = `Shadow_busy)
 
 let test_reset_clears_shadow () =
   let w = mk_slt ~n_update:1_000_000 () in
-  Slt.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
+  Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:1 part_a);
   ignore (Slt.begin_checkpoint w.slt part_a);
   let bin = Option.get (Slt.find_bin w.slt part_a) in
   Partition_bin.reset_after_checkpoint bin;
@@ -848,14 +855,14 @@ let test_oldest_lsn_spans_generations () =
   (* Fill enough for pages, cut, then more pages: the age trigger must
      track the SHADOW's first page (the oldest). *)
   for i = 1 to 30 do
-    Slt.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:1 ~seq:i ~size:40 part_a)
   done;
   Mrdb_sim.Sim.run w.sim;
   let bin = Option.get (Slt.find_bin w.slt part_a) in
   let oldest_before = Partition_bin.oldest_lsn bin in
   ignore (Slt.begin_checkpoint w.slt part_a);
   for i = 31 to 60 do
-    Slt.accept w.slt (record_for w ~txn:2 ~seq:i ~size:40 part_a)
+    Redo_oracle.accept w.slt (record_for w ~txn:2 ~seq:i ~size:40 part_a)
   done;
   Mrdb_sim.Sim.run w.sim;
   check i64_t "oldest lsn is the shadow's" oldest_before (Partition_bin.oldest_lsn bin);
@@ -884,7 +891,7 @@ let prop_slt_pipeline_equivalence =
       let bin_idx = ref (Slt.bin_index_of !slt part_a) in
       let watermark = ref 0 in
       for seq = 1 to n_records do
-        Slt.accept !slt
+        Redo_oracle.accept !slt
           (Log_record.make ~tag:Log_record.Relation_op ~bin_index:!bin_idx ~txn_id:1
              ~seq
              ~op:(Part_op.Insert { slot = seq; data = Bytes.make 24 'p' }));
