@@ -1,8 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 3), plus the ablations DESIGN.md calls out.
 
-     dune exec bench/main.exe            — all sections
-     dune exec bench/main.exe -- quick   — skip the Bechamel micro-benches
+     dune exec bench/main.exe
 
    Absolute values come from the paper's own Table 2 constants (1-MIPS
    recovery CPU, 8 KB log pages, 24-byte records, 48 KB partitions), so
@@ -393,111 +392,7 @@ let multiprogramming () =
     "shape check: throughput scales with clients until the main CPU\n\
      saturates; skew raises the no-wait abort rate with client count."
 
-(* -- Bechamel micro-benchmarks ------------------------------------------------ *)
-
-let bechamel_section () =
-  section "host micro-benchmarks (Bechamel) — hot paths behind each artifact";
-  let open Bechamel in
-  let mk_slt () =
-    let cfg =
-      {
-        Mrdb_wal.Stable_layout.slb_regions = 1;
-        slb_block_bytes = 2048;
-        slb_block_count = 64;
-        committed_capacity = 64;
-        log_page_bytes = 8192;
-        page_pool_count = 32;
-        bin_count = 16;
-        dir_size = 8;
-        wellknown_bytes = 1024;
-      }
-    in
-    let mem =
-      Mrdb_hw.Stable_mem.create ~size:(Mrdb_wal.Stable_layout.required_bytes cfg) ()
-    in
-    let layout = Mrdb_wal.Stable_layout.attach cfg mem in
-    let sim = Mrdb_sim.Sim.create () in
-    let ld = Mrdb_wal.Log_disk.create sim ~layout ~window_pages:1_000_000 () in
-    let slt =
-      Mrdb_wal.Slt.create ~layout ~log_disk:ld ~n_update:max_int
-        ~on_checkpoint_request:(fun _ _ -> ())
-        ()
-    in
-    let part = { Mrdb_storage.Addr.segment = 1; partition = 0 } in
-    let bin = Mrdb_wal.Slt.bin_index_of slt part in
-    (slt, bin)
-  in
-  (* Graph 1/2 hot path: sorting one record frame into its partition bin,
-     as the drain does — the frame is encoded once, outside the timing. *)
-  let test_sort =
-    let slt, bin = mk_slt () in
-    let record =
-      Mrdb_wal.Log_record.make ~tag:Mrdb_wal.Log_record.Relation_op
-        ~bin_index:bin ~txn_id:1 ~seq:1
-        ~op:(Mrdb_storage.Part_op.Delete { slot = 0 })
-    in
-    let len = Mrdb_wal.Log_record.encoded_size record in
-    let frame = Bytes.create (2 + len) in
-    Mrdb_util.Codec.put_u16 frame 0 len;
-    ignore (Mrdb_wal.Log_record.encode_into record frame ~pos:2 : int);
-    Test.make ~name:"record sort into bin (G1/G2)"
-      (Staged.stage (fun () -> Mrdb_wal.Slt.accept_raw slt frame ~pos:2 ~len))
-  in
-  (* R1 hot path: applying an encoded REDO operation to a partition image
-     in place, as the restart replay kernel does. *)
-  let test_replay =
-    let part = Mrdb_storage.Partition.create ~size:65536 ~segment:1 ~partition:0 in
-    let slot =
-      Option.get (Mrdb_storage.Partition.insert part (Bytes.make 64 'a'))
-    in
-    let op = Mrdb_storage.Part_op.Update { slot; data = Bytes.make 64 'b' } in
-    let encoded = Bytes.create (Mrdb_storage.Part_op.encoded_size op) in
-    let stop = Mrdb_storage.Part_op.encode_into op encoded ~pos:0 in
-    Test.make ~name:"REDO apply to partition (R1)"
-      (Staged.stage (fun () ->
-           Mrdb_storage.Part_op.apply_encoded part encoded ~pos:0 ~stop))
-  in
-  (* Index maintenance hot path (the per-txn record count behind G2). *)
-  let test_ttree =
-    let segment = Mrdb_storage.Segment.create ~id:9 ~partition_bytes:65536 in
-    let tree =
-      Mrdb_index.T_tree.create ~segment ~log:Mrdb_storage.Relation.null_sink
-        ~key_type:Mrdb_storage.Schema.Int ~max_items:16 ()
-    in
-    let i = ref 0 in
-    Test.make ~name:"t-tree insert (logged entity)"
-      (Staged.stage (fun () ->
-           incr i;
-           Mrdb_index.T_tree.insert tree ~log:Mrdb_storage.Relation.null_sink
-             (Mrdb_storage.Schema.int !i)
-             (Mrdb_storage.Addr.make ~segment:1 ~partition:(!i lsr 8) ~slot:(!i land 0xFF))))
-  in
-  (* Graph 3 bookkeeping: checkpoint trigger scan. *)
-  let test_trigger =
-    let slt, _ = mk_slt () in
-    Test.make ~name:"oldest-first-LSN probe (G3)"
-      (Staged.stage (fun () -> ignore (Mrdb_wal.Slt.oldest_first_lsn slt)))
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-    let results = Benchmark.all cfg instances test in
-    let results' =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        Toolkit.Instance.monotonic_clock results
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "  %-40s %10.0f ns/op\n" name est
-        | _ -> Printf.printf "  %-40s (no estimate)\n" name)
-      results'
-  in
-  List.iter benchmark [ test_sort; test_replay; test_ttree; test_trigger ]
-
 let () =
-  let quick = Array.exists (( = ) "quick") Sys.argv in
   print_endline
     "MM-DBMS recovery reproduction — Lehman & Carey, SIGMOD 1987\n\
      regenerating every evaluation artifact (see DESIGN.md experiment index)";
@@ -512,5 +407,4 @@ let () =
   group_batch_sizes ();
   ckpt_strategies ();
   multiprogramming ();
-  if not quick then bechamel_section ();
   print_endline "\nbench complete."

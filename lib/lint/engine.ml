@@ -5,156 +5,12 @@
    architecture rules, because crossing a wrapped-library boundary always
    names the library ([Mrdb_wal.Slt.accept_raw], [open Mrdb_storage]):
    there is no way to reach another library without the [Mrdb_*] head
-   appearing. *)
-
-(* -- longident traversal --------------------------------------------------- *)
-
-(* [Longident.flatten] raises on functor application; this total version
-   skips those paths (a functor application cannot smuggle a banned
-   identifier or a raw stable-memory write — its pieces are still visited
-   as module expressions). *)
-let rec flatten_opt : Longident.t -> string list option = function
-  | Lident s -> Some [ s ]
-  | Ldot (p, s) -> (
-      match flatten_opt p with Some xs -> Some (xs @ [ s ]) | None -> None)
-  | Lapply _ -> None
-
-(* Visit every [Longident] reference and every [assert false] in a
-   structure.  The default iterator recurses everywhere; the overrides only
-   peel the identifier off the nodes that carry one. *)
-let iter_references ~on_lid ~on_assert_false (str : Parsetree.structure) =
-  let open Ast_iterator in
-  let expr sub (e : Parsetree.expression) =
-    (match e.pexp_desc with
-    | Pexp_ident lid
-    | Pexp_construct (lid, _)
-    | Pexp_field (_, lid)
-    | Pexp_new lid ->
-        on_lid lid
-    | Pexp_setfield (_, lid, _) -> on_lid lid
-    | Pexp_record (fields, _) -> List.iter (fun (lid, _) -> on_lid lid) fields
-    | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Lident "false"; _ }, None); _ }
-      ->
-        on_assert_false e.pexp_loc
-    | _ -> ());
-    default_iterator.expr sub e
-  in
-  let pat sub (p : Parsetree.pattern) =
-    (match p.ppat_desc with
-    | Ppat_construct (lid, _) | Ppat_type lid | Ppat_open (lid, _) -> on_lid lid
-    | Ppat_record (fields, _) -> List.iter (fun (lid, _) -> on_lid lid) fields
-    | _ -> ());
-    default_iterator.pat sub p
-  in
-  let typ sub (t : Parsetree.core_type) =
-    (match t.ptyp_desc with
-    | Ptyp_constr (lid, _) | Ptyp_class (lid, _) -> on_lid lid
-    | _ -> ());
-    default_iterator.typ sub t
-  in
-  let module_expr sub (m : Parsetree.module_expr) =
-    (match m.pmod_desc with Pmod_ident lid -> on_lid lid | _ -> ());
-    default_iterator.module_expr sub m
-  in
-  let module_type sub (m : Parsetree.module_type) =
-    (match m.pmty_desc with
-    | Pmty_ident lid | Pmty_alias lid -> on_lid lid
-    | _ -> ());
-    default_iterator.module_type sub m
-  in
-  let it = { default_iterator with expr; pat; typ; module_expr; module_type } in
-  it.structure it str
-
-(* -- per-file checks -------------------------------------------------------- *)
+   appearing.  Each file is walked once, by Index; every rule but R4 reads
+   that index. *)
 
 let pos_of (loc : Location.t) =
   let p = loc.loc_start in
   (p.pos_lnum, p.pos_cnum - p.pos_bol)
-
-(* R1: does the reference path contain a mutating [Stable_mem] access?
-   Matches [Stable_mem.write] as well as [Mrdb_hw.Stable_mem.write] and the
-   post-[open Mrdb_hw] spelling. *)
-let rec stable_mem_mutation = function
-  | "Stable_mem" :: m :: _ when List.mem m Rules.stable_mem_mutators -> Some m
-  | _ :: rest -> stable_mem_mutation rest
-  | [] -> None
-
-(* R5: does the reference path contain an injection call ([Disk.fail],
-   [Mrdb_hw.Duplex.fail_primary], ...)?  Same head-module matching as R1. *)
-let rec fault_injection_call = function
-  | m :: f :: _
-    when (match List.assoc_opt m Rules.fault_injection_idents with
-         | Some fns -> List.mem f fns
-         | None -> false) ->
-      Some (m ^ "." ^ f)
-  | _ :: rest -> fault_injection_call rest
-  | [] -> None
-
-
-let check_structure ~file ~rel str =
-  let diags = ref [] in
-  let add rule loc msg =
-    let line, col = pos_of loc in
-    diags := Diag.make ~rule ~file ~line ~col msg :: !diags
-  in
-  let check_r1 loc path =
-    if not (Rules.wild_write_allowed rel) then
-      match stable_mem_mutation path with
-      | Some m ->
-          add Diag.R1 loc
-            (Printf.sprintf
-               "raw stable-memory write Stable_mem.%s outside the log \
-                components; go through the SLB/SLT/partition-bin interfaces"
-               m)
-      | None -> ()
-  in
-  let check_r3 loc path =
-    if not (Rules.partiality_allowed rel) then
-      match Rules.banned_ident path with
-      | Some name ->
-          add Diag.R3 loc
-            (Printf.sprintf
-               "bare %s; use Mrdb_util.Fatal.invariant/misuse or a \
-                structured exception" name)
-      | None -> ()
-  in
-  let check_r6 loc path =
-    if not (Rules.print_allowed rel) then
-      match Rules.print_ident path with
-      | Some name ->
-          add Diag.R6 loc
-            (Printf.sprintf
-               "bare %s; render through Mrdb_obs.Export or \
-                Mrdb_util.Texttab instead of printing from library code" name)
-      | None -> ()
-  in
-  let check_r5 loc path =
-    if not (Rules.fault_injection_allowed rel) then
-      match fault_injection_call path with
-      | Some name ->
-          add Diag.R5 loc
-            (Printf.sprintf
-               "fault-injection call %s outside lib/fault; production code \
-                must not fabricate device faults" name)
-      | None -> ()
-  in
-  let on_lid (lid : Longident.t Location.loc) =
-    match flatten_opt lid.txt with
-    | None -> ()
-    | Some path ->
-        check_r1 lid.loc path;
-        check_r3 lid.loc path;
-        check_r5 lid.loc path;
-        check_r6 lid.loc path
-  in
-  let on_assert_false loc =
-    if not (Rules.partiality_allowed rel) then
-      add Diag.R3 loc
-        "bare assert false; use Mrdb_util.Fatal.invariant so the broken \
-         invariant is tagged and greppable"
-  in
-  iter_references ~on_lid ~on_assert_false str;
-  List.rev !diags
 
 let parse_impl path =
   let ic = open_in_bin path in
@@ -165,9 +21,9 @@ let parse_impl path =
       Lexing.set_filename lexbuf path;
       Parse.implementation lexbuf)
 
-(* One parse per file: the per-file rules (phase 1 checks) and the
-   whole-program index entry both come from the same tree. *)
-let analyze_ml ~lib_dir ~rel =
+(* Parse and index one file; a file that does not parse is a
+   [Parse_error] diagnostic, not a crash. *)
+let index_ml ~lib_dir ~rel =
   let file = Filename.concat lib_dir rel in
   match parse_impl file with
   | exception exn ->
@@ -182,17 +38,14 @@ let analyze_ml ~lib_dir ~rel =
             (line, col, "lexer error")
         | _ -> (1, 0, Printexc.to_string exn)
       in
-      ([ Diag.make ~rule:Diag.Parse_error ~file ~line ~col detail ], None)
+      Error (Diag.make ~rule:Diag.Parse_error ~file ~line ~col detail)
   | str ->
       let dir =
         match String.index_opt rel '/' with
         | Some i -> String.sub rel 0 i
         | None -> ""
       in
-      let lib = Rules.library_of_dir dir in
-      (check_structure ~file ~rel str, Some (Index.of_structure ~rel ~lib str))
-
-let lint_ml ~lib_dir ~rel = fst (analyze_ml ~lib_dir ~rel)
+      Ok (Index.of_structure ~rel ~lib:(Rules.library_of_dir dir) str)
 
 (* -- tree walk -------------------------------------------------------------- *)
 
@@ -207,17 +60,47 @@ let rec collect ~lib_dir rel acc =
       acc (list_dir abs)
   else rel :: acc
 
-(* -- phase 2: interprocedural rules (R8-R11) -------------------------------- *)
+let parse_files ~lib_dir files =
+  List.filter_map
+    (fun rel ->
+      if Filename.check_suffix rel ".ml" then Some (index_ml ~lib_dir ~rel)
+      else None)
+    files
 
 let index_tree ~lib_dir =
   collect ~lib_dir "" []
   |> List.sort String.compare
-  |> List.filter_map (fun rel ->
-         if Filename.check_suffix rel ".ml" then
-           snd (analyze_ml ~lib_dir ~rel)
-         else None)
+  |> parse_files ~lib_dir
+  |> List.filter_map Result.to_option
+
+(* -- rules over the index --------------------------------------------------- *)
 
 let file_of ~lib_dir rel = Filename.concat lib_dir rel
+
+(* R6: library code renders, it does not print — outside the renderers,
+   no binding may reference a bare stdout printer. *)
+let check_r6 ~lib_dir index =
+  List.concat_map
+    (fun (m : Index.modinfo) ->
+      if Rules.print_allowed m.Index.m_rel then []
+      else
+        List.concat_map
+          (fun (b : Index.binding) ->
+            List.filter_map
+              (fun (path, loc) ->
+                Rules.print_ident path
+                |> Option.map (fun name ->
+                       let line, col = pos_of loc in
+                       Diag.make ~rule:Diag.R6
+                         ~file:(file_of ~lib_dir m.Index.m_rel)
+                         ~line ~col
+                         (Printf.sprintf
+                            "bare %s; render through Mrdb_obs.Export or \
+                             Mrdb_util.Texttab instead of printing from \
+                             library code" name)))
+              b.Index.b_refs)
+          m.Index.m_bindings)
+    index
 
 let render_chain nodes =
   nodes |> List.map Callgraph.node_label |> String.concat " -> "
@@ -276,7 +159,6 @@ let check_r8 ~lib_dir (config : Rules.config) index graph =
                           Diag.make ~rule:Diag.R8
                             ~file:(file_of ~lib_dir n.Callgraph.n_rel)
                             ~line ~col
-                            ~key:(n.Callgraph.n_binding ^ ":" ^ display)
                             (Printf.sprintf
                                "%s on the deterministic path %s; sort the \
                                 iteration, derive from the simulated clock, \
@@ -317,7 +199,6 @@ let check_r9 ~lib_dir (config : Rules.config) index graph =
                     Diag.make ~rule:Diag.R9
                       ~file:(file_of ~lib_dir m.Index.m_rel)
                       ~line ~col
-                      ~key:(b.Index.b_name ^ ":" ^ what)
                       (Printf.sprintf
                          "write to %s (%s) outside owner [%s], reachable \
                           without passing through it (%s); route the write \
@@ -352,15 +233,15 @@ let check_r9 ~lib_dir (config : Rules.config) index graph =
   !diags
 
 (* R10: every [raise] constructs a sanctioned structured exception (or
-   re-raises); wildcard handlers need a justified allowlist entry. *)
+   re-raises), and a bare partial function counts as a raise; wildcard
+   handlers need a justified allowlist entry. *)
 let check_r10 ~lib_dir (config : Rules.config) index graph =
   let diags = ref [] in
-  let add (m : Index.modinfo) ~key loc msg =
+  let add (m : Index.modinfo) loc msg =
     let line, col = pos_of loc in
     diags :=
-      Diag.make ~rule:Diag.R10
-        ~file:(file_of ~lib_dir m.Index.m_rel)
-        ~line ~col ~key msg
+      Diag.make ~rule:Diag.R10 ~file:(file_of ~lib_dir m.Index.m_rel) ~line ~col
+        msg
       :: !diags
   in
   let registered decl_rel name =
@@ -379,8 +260,14 @@ let check_r10 ~lib_dir (config : Rules.config) index graph =
               (fun (r : Index.raise_site) ->
                 match r.Index.r_arg with
                 | Index.Reraise -> ()
+                | Index.Partial name ->
+                    add m r.Index.r_loc
+                      (Printf.sprintf
+                         "bare %s raises an unregistered stdlib exception; \
+                          use Mrdb_util.Fatal.invariant/misuse or a declared \
+                          structured exception" name)
                 | Index.Opaque ->
-                    add m ~key:(b.Index.b_name ^ ":opaque") r.Index.r_loc
+                    add m r.Index.r_loc
                       "raise of a computed exception; construct a declared \
                        structured exception so recovery can classify the \
                        failure"
@@ -389,7 +276,7 @@ let check_r10 ~lib_dir (config : Rules.config) index graph =
                     match Callgraph.resolve_exn graph m path with
                     | Some (decl_rel, name) ->
                         if not (registered decl_rel name) then
-                          add m ~key:(b.Index.b_name ^ ":" ^ last) r.Index.r_loc
+                          add m r.Index.r_loc
                             (Printf.sprintf
                                "raise of %s (declared in %s) which is not in \
                                 the sanctioned exception registry; register \
@@ -399,7 +286,7 @@ let check_r10 ~lib_dir (config : Rules.config) index graph =
                         if
                           not (List.mem last config.Rules.r10_stdlib_exceptions)
                         then
-                          add m ~key:(b.Index.b_name ^ ":" ^ last) r.Index.r_loc
+                          add m r.Index.r_loc
                             (Printf.sprintf
                                "raise of unregistered exception %s; declare \
                                 a structured exception and register it in \
@@ -415,7 +302,7 @@ let check_r10 ~lib_dir (config : Rules.config) index graph =
                   config.Rules.r10_wildcard_allow
               in
               if not allowed then
-                add m ~key:(b.Index.b_name ^ ":wildcard") loc
+                add m loc
                   "try ... with _ -> swallows every exception (including \
                    Crashed and Aborted); match the specific exceptions or \
                    add a justified Rules allowlist entry")
@@ -429,10 +316,9 @@ let check_r10 ~lib_dir (config : Rules.config) index graph =
    file/binding/identifier.  Stale suppressions are bugs. *)
 let check_r11 ~lib_dir (config : Rules.config) index =
   let diags = ref [] in
-  let stale rel key msg =
+  let stale rel msg =
     diags :=
-      Diag.make ~rule:Diag.R11 ~file:(file_of ~lib_dir rel) ~line:1 ~col:0 ~key
-        msg
+      Diag.make ~rule:Diag.R11 ~file:(file_of ~lib_dir rel) ~line:1 ~col:0 msg
       :: !diags
   in
   let module_of rel = Index.find_module index ~rel in
@@ -444,7 +330,7 @@ let check_r11 ~lib_dir (config : Rules.config) index =
         | None -> false
       in
       if not live then
-        stale e.Rules.e_rel ("entry:" ^ e.Rules.e_binding)
+        stale e.Rules.e_rel
           (Printf.sprintf
              "stale R8 entry point %s:%s — no such binding; update the Rules \
               configuration" e.Rules.e_rel e.Rules.e_binding))
@@ -453,13 +339,13 @@ let check_r11 ~lib_dir (config : Rules.config) index =
     (fun (a : Rules.allow) ->
       match module_of a.Rules.a_rel with
       | None ->
-          stale a.Rules.a_rel ("allow:" ^ a.Rules.a_binding)
+          stale a.Rules.a_rel
             (Printf.sprintf "stale R8 allowlist entry: no file %s"
                a.Rules.a_rel)
       | Some m -> (
           match Index.find_binding m a.Rules.a_binding with
           | None ->
-              stale a.Rules.a_rel ("allow:" ^ a.Rules.a_binding)
+              stale a.Rules.a_rel
                 (Printf.sprintf "stale R8 allowlist entry: no binding %s in %s"
                    a.Rules.a_binding a.Rules.a_rel)
           | Some b ->
@@ -472,7 +358,7 @@ let check_r11 ~lib_dir (config : Rules.config) index =
                   b.Index.b_refs
               in
               if not refs_ident then
-                stale a.Rules.a_rel ("allow:" ^ a.Rules.a_binding)
+                stale a.Rules.a_rel
                   (Printf.sprintf
                      "stale R8 allowlist entry: %s:%s no longer references %s"
                      a.Rules.a_rel a.Rules.a_binding a.Rules.a_ident)))
@@ -480,7 +366,7 @@ let check_r11 ~lib_dir (config : Rules.config) index =
   List.iter
     (fun rel ->
       if module_of rel = None then
-        stale rel "random-ok"
+        stale rel
           (Printf.sprintf "stale R8 Random allowance: no file %s" rel))
     config.Rules.r8_random_ok;
   List.iter
@@ -494,7 +380,7 @@ let check_r11 ~lib_dir (config : Rules.config) index =
               index
           in
           if not matched then
-            stale owner ("owner:" ^ res.Rules.res_name)
+            stale owner
               (Printf.sprintf
                  "stale R9 owner %s for resource %S: no indexed file matches"
                  owner res.Rules.res_name))
@@ -511,7 +397,7 @@ let check_r11 ~lib_dir (config : Rules.config) index =
             let anchor =
               match res.Rules.res_owners with o :: _ -> o | [] -> "."
             in
-            stale anchor ("field:" ^ field)
+            stale anchor
               (Printf.sprintf
                  "stale R9 field %s for resource %S: no module declares a \
                   mutable field of that name" field res.Rules.res_name))
@@ -525,7 +411,7 @@ let check_r11 ~lib_dir (config : Rules.config) index =
         | None -> false
       in
       if not live then
-        stale x.Rules.x_rel ("exn:" ^ x.Rules.x_name)
+        stale x.Rules.x_rel
           (Printf.sprintf
              "stale R10 registry entry: %s does not declare exception %s"
              x.Rules.x_rel x.Rules.x_name))
@@ -533,64 +419,57 @@ let check_r11 ~lib_dir (config : Rules.config) index =
   List.iter
     (fun rel ->
       if module_of rel = None then
-        stale rel "raise-ok"
+        stale rel
           (Printf.sprintf "stale R10 raise allowance: no file %s" rel))
     config.Rules.r10_raise_ok;
   List.iter
     (fun (a : Rules.allow) ->
       match module_of a.Rules.a_rel with
       | None ->
-          stale a.Rules.a_rel ("wildcard:" ^ a.Rules.a_binding)
+          stale a.Rules.a_rel
             (Printf.sprintf "stale R10 wildcard allowance: no file %s"
                a.Rules.a_rel)
       | Some m -> (
           match Index.find_binding m a.Rules.a_binding with
           | None ->
-              stale a.Rules.a_rel ("wildcard:" ^ a.Rules.a_binding)
+              stale a.Rules.a_rel
                 (Printf.sprintf
                    "stale R10 wildcard allowance: no binding %s in %s"
                    a.Rules.a_binding a.Rules.a_rel)
           | Some b ->
               if b.Index.b_wildcards = [] then
-                stale a.Rules.a_rel ("wildcard:" ^ a.Rules.a_binding)
+                stale a.Rules.a_rel
                   (Printf.sprintf
                      "stale R10 wildcard allowance: %s:%s no longer contains \
                       a wildcard handler" a.Rules.a_rel a.Rules.a_binding)))
     config.Rules.r10_wildcard_allow;
   !diags
 
+(* R4 is the one rule that needs no parse: every .ml needs its .mli. *)
+let check_r4 ~lib_dir files =
+  List.filter_map
+    (fun rel ->
+      if List.mem (Filename.remove_extension rel ^ ".mli") files then None
+      else
+        Some
+          (Diag.make ~rule:Diag.R4 ~file:(file_of ~lib_dir rel) ~line:1 ~col:0
+             (Printf.sprintf "%s has no matching .mli; seal the interface"
+                (Filename.basename rel))))
+    (List.filter (fun rel -> Filename.check_suffix rel ".ml") files)
+
 let lint ?(config = Rules.default_config) ~lib_dir () =
   let files = collect ~lib_dir "" [] in
-  let has rel = List.mem rel files in
-  let index = ref [] in
-  let diags =
-    List.concat_map
-      (fun rel ->
-        if Filename.check_suffix rel ".ml" then begin
-          let sealed =
-            if has (Filename.remove_extension rel ^ ".mli") then []
-            else
-              [
-                Diag.make ~rule:Diag.R4
-                  ~file:(Filename.concat lib_dir rel)
-                  ~line:1 ~col:0
-                  (Printf.sprintf "%s has no matching .mli; seal the interface"
-                     (Filename.basename rel));
-              ]
-          in
-          let file_diags, info = analyze_ml ~lib_dir ~rel in
-          (match info with Some m -> index := m :: !index | None -> ());
-          sealed @ file_diags
-        end
-        else [])
-      files
+  let index, unparsed =
+    List.partition_map
+      (function Ok m -> Either.Left m | Error d -> Either.Right d)
+      (parse_files ~lib_dir files)
   in
-  let index = List.rev !index in
   let graph = Callgraph.build index in
-  let inter =
-    check_r8 ~lib_dir config index graph
+  List.sort Diag.compare_diag
+    (unparsed
+    @ check_r4 ~lib_dir files
+    @ check_r6 ~lib_dir index
+    @ check_r8 ~lib_dir config index graph
     @ check_r9 ~lib_dir config index graph
     @ check_r10 ~lib_dir config index graph
-    @ check_r11 ~lib_dir config index
-  in
-  List.sort Diag.compare_diag (diags @ inter)
+    @ check_r11 ~lib_dir config index)

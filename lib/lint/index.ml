@@ -1,10 +1,10 @@
-(* Phase 1 of the two-phase analyzer: one pass over a parsed structure
-   distills everything the interprocedural rules need — per-binding
-   reference lists (the raw material of the call graph), raise sites,
-   record-field writes, wildcard exception handlers, plus per-module
-   declarations (exceptions, mutable record fields, module aliases and
-   opens).  Still purely syntactic: no typechecking, identifiers are
-   resolved later (Callgraph) from the surface spelling alone. *)
+(* The analyzer's one AST walk: one pass over a parsed structure distills
+   everything the rules need — per-binding reference lists (the raw
+   material of the call graph), raise sites, record-field writes, wildcard
+   exception handlers, plus per-module declarations (exceptions, mutable
+   record fields, module aliases and opens).  Still purely syntactic: no
+   typechecking, identifiers are resolved later (Callgraph) from the
+   surface spelling alone. *)
 
 let rec flatten_opt : Longident.t -> string list option = function
   | Lident s -> Some [ s ]
@@ -16,6 +16,7 @@ type raise_arg =
   | Constructs of string list  (* [raise (Exn ...)] — flattened constructor *)
   | Reraise                    (* [raise e] — re-raise of a caught variable *)
   | Opaque                     (* [raise (f x)] — a computed exception *)
+  | Partial of string          (* [failwith], [List.hd], ... — as spelled *)
 
 type raise_site = { r_arg : raise_arg; r_loc : Location.t }
 
@@ -71,6 +72,17 @@ let is_raise_ident = function
       true
   | _ -> false
 
+(* Bare partial functions: each raises an unregistered stdlib exception
+   ([Failure], [Invalid_argument]), so a reference to one is a raise site
+   whatever it is applied to.  [assert false] is matched in [collect_body]. *)
+let is_partial_ident = function
+  | [ ("failwith" | "invalid_arg") ]
+  | [ "Stdlib"; ("failwith" | "invalid_arg") ]
+  | [ "Option"; "get" ] | [ "Stdlib"; "Option"; "get" ]
+  | [ "List"; "hd" ] | [ "Stdlib"; "List"; "hd" ] ->
+      true
+  | _ -> false
+
 (* A try-case that swallows every exception: [_], possibly aliased or in
    an or-pattern.  A [with e -> ...] variable catch-all is deliberately
    not flagged — the idiom re-raises and the re-raise is checked. *)
@@ -88,6 +100,10 @@ let collect_body (c : collector) (e : Parsetree.expression) =
     | None -> ()
     | Some path ->
         if is_sort_ref path then c.c_sorts <- true;
+        if is_partial_ident path then
+          c.c_raises <-
+            { r_arg = Partial (String.concat "." path); r_loc = lid.loc }
+            :: c.c_raises;
         c.c_refs <- (path, lid.loc) :: c.c_refs
   in
   let expr sub (e : Parsetree.expression) =
@@ -118,6 +134,10 @@ let collect_body (c : collector) (e : Parsetree.expression) =
                 in
                 c.c_raises <- { r_arg; r_loc = e.pexp_loc } :: c.c_raises)
         | _ -> ())
+    | Pexp_assert
+        { pexp_desc = Pexp_construct ({ txt = Lident "false"; _ }, None); _ } ->
+        c.c_raises <-
+          { r_arg = Partial "assert false"; r_loc = e.pexp_loc } :: c.c_raises
     | Pexp_try (_, cases) ->
         List.iter
           (fun (case : Parsetree.case) ->
@@ -215,7 +235,7 @@ let rec walk_items ~prefix acc_bindings acc_exns acc_exn_aliases acc_fields
           | Pmod_structure sub ->
               walk_items ~prefix:(prefix ^ name ^ ".") acc_bindings acc_exns
                 acc_exn_aliases acc_fields acc_aliases acc_opens sub
-          | _ -> () (* functor bodies are out of scope, as for R1, R3-R6 *))
+          | _ -> () (* functor bodies are not indexed; lib/ has none *))
       | Pstr_open od -> (
           match od.popen_expr.pmod_desc with
           | Pmod_ident lid -> (

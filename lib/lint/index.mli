@@ -1,17 +1,28 @@
-(** Phase 1 of the two-phase analyzer: a syntactic whole-program index.
+(** A syntactic whole-program index: the analyzer's only AST walk.
 
-    One pass per file distills what the interprocedural rules (R8-R11)
-    consume: per-top-level-binding reference lists (the raw edges of the
-    call graph), raise sites, record-field writes, wildcard exception
-    handlers, and per-module declarations (exceptions, mutable record
-    fields, module aliases, opens).  No typechecking — identifiers are
-    recorded as spelled and resolved later by {!Callgraph}. *)
+    One pass per file distills what every rule except R4 (a file-system
+    check) consumes: per-top-level-binding reference lists (the raw edges
+    of the call graph, and R6's printer references), raise sites,
+    record-field writes, wildcard exception handlers, and per-module
+    declarations (exceptions, mutable record fields, module aliases,
+    opens).  No typechecking — identifiers are recorded as spelled and
+    resolved later by {!Callgraph}.
+
+    Only value bindings are walked, including those in nested
+    [module M = struct ... end] items.  Functor bodies, [include] and
+    top-level expressions ([Pstr_eval]) are not: [lib/] has none, and a
+    rule cannot see a reference the walk skips. *)
 
 type raise_arg =
   | Constructs of string list
       (** [raise (Exn ...)]: the flattened constructor path *)
   | Reraise  (** [raise e]: re-raise of a caught variable — always legal *)
   | Opaque  (** [raise (f x)]: a computed exception the analyzer cannot name *)
+  | Partial of string
+      (** a bare partial function — [failwith], [invalid_arg],
+          [assert false], [Option.get], [List.hd], or a [Stdlib.]
+          spelling — which raises an unregistered stdlib exception;
+          carries the spelling.  Any reference counts, applied or not. *)
 
 type raise_site = { r_arg : raise_arg; r_loc : Location.t }
 

@@ -33,70 +33,6 @@ let libraries =
 let library_of_dir dir = List.assoc_opt dir libraries
 let is_known_library name = List.exists (fun (_, l) -> l = name) libraries
 
-(* -- R1: wild-write discipline --------------------------------------------- *)
-
-(* The mutating half of the Stable_mem API.  Reads are legal anywhere. *)
-let stable_mem_mutators = [ "write"; "write_sub"; "fill"; "put_u32"; "put_i64" ]
-
-(* Files allowed to write stable memory raw (paths relative to lib/):
-   the WAL components (SLB, SLT, partition bins, the stable layout), the
-   recovery manager's well-known region, the defining module itself, and
-   the standby batch-install path — the ONLY place replication may write
-   a shipped stable image. *)
-let wild_write_allowed rel =
-  String.length rel >= 4
-  && String.sub rel 0 4 = "wal/"
-  || rel = "recovery/wellknown.ml"
-  || rel = "hw/stable_mem.ml"
-  || rel = "replica/apply.ml"
-
-(* -- R3: partiality --------------------------------------------------------- *)
-
-(* Banned identifier paths (each with its [Stdlib]-qualified spelling). *)
-let banned_idents =
-  [
-    ([ "failwith" ], "failwith");
-    ([ "Stdlib"; "failwith" ], "failwith");
-    ([ "invalid_arg" ], "invalid_arg");
-    ([ "Stdlib"; "invalid_arg" ], "invalid_arg");
-    ([ "Option"; "get" ], "Option.get");
-    ([ "Stdlib"; "Option"; "get" ], "Option.get");
-    ([ "List"; "hd" ], "List.hd");
-    ([ "Stdlib"; "List"; "hd" ], "List.hd");
-  ]
-
-let banned_ident path =
-  let rec find = function
-    | [] -> None
-    | (p, name) :: rest -> if p = path then Some name else find rest
-  in
-  find banned_idents
-
-(* The one sanctioned escape hatch (relative to lib/). *)
-let partiality_allowed rel = rel = "util/fatal.ml"
-
-(* -- R5: fault-injection containment ---------------------------------------- *)
-
-(* The injection half of the hardware API: arming hooks and fabricating
-   failures or corruption.  Query/observation calls (Disk.failed,
-   Duplex.state) are legal anywhere. *)
-let fault_injection_idents =
-  [
-    ("Disk", [ "set_fault_hook"; "corrupt_page"; "fail" ]);
-    ("Duplex", [ "fail_primary"; "fail_mirror" ]);
-    ("Stable_mem", [ "set_fault_hook"; "corrupt" ]);
-    ("Ship_channel", [ "set_extra_delay"; "set_drop" ]);
-  ]
-
-(* Who may inject (relative to lib/): the fault subsystem itself and the
-   defining hardware modules (Duplex fails its member Disk; each module
-   implements its own injection surface).  Tests live outside lib/ and are
-   not linted, so they stay free to inject. *)
-let fault_injection_allowed rel =
-  (String.length rel >= 6 && String.sub rel 0 6 = "fault/")
-  || rel = "hw/disk.ml" || rel = "hw/duplex.ml" || rel = "hw/stable_mem.ml"
-  || rel = "hw/ship_channel.ml"
-
 (* -- R6: output discipline --------------------------------------------------- *)
 
 (* Bare stdout printers (each with its [Stdlib]-qualified spelling).
@@ -207,13 +143,16 @@ let write_ident_call res path =
 let default_config =
   {
     (* R8 roots: the commit path (facade -> per-executor redo sink), the
-       sorter's drain, and the recovery restart path.  Everything these
-       reach must be replay-deterministic. *)
+       sorter's drain, and the recovery restart path — Db.recover too, as
+       it decodes the catalog and finishes the restart after
+       Recovery_mgr.restart returns.  Everything these reach must be
+       replay-deterministic. *)
     r8_entry_points =
       [
         { e_rel = "core/db.ml"; e_binding = "commit" };
         { e_rel = "core/db.ml"; e_binding = "with_txn" };
         { e_rel = "core/db.ml"; e_binding = "begin_txn" };
+        { e_rel = "core/db.ml"; e_binding = "recover" };
         { e_rel = "core/db_system.ml"; e_binding = "user_sink" };
         { e_rel = "core/db_system.ml"; e_binding = "with_system_txn" };
         { e_rel = "core/db_system.ml"; e_binding = "drain" };
@@ -248,6 +187,12 @@ let default_config =
              transaction, and the flush deadline scheduled from it — both
              against the deterministic simulated clock. *)
           a_why = "group enqueue timestamp + deadline on the simulated clock";
+        };
+        {
+          a_rel = "core/db.ml";
+          a_binding = "recover";
+          a_ident = "Sim.now";
+          a_why = "catalog-recovery duration sample on the simulated clock; obs only";
         };
         {
           a_rel = "core/db.ml";
@@ -308,6 +253,47 @@ let default_config =
        (checked on the call graph, not per-file paths). *)
     r9_resources =
       [
+        {
+          (* The mutating half of the Stable_mem API; reads are legal
+             anywhere.  Raw writes belong to the WAL components (SLB, SLT,
+             partition bins, the stable layout), the recovery manager's
+             well-known region, the defining module itself, and the
+             standby batch-install path — the only place replication may
+             write a shipped stable image. *)
+          res_name =
+            "stable memory (paper 2.2: protected from wild or malicious stores)";
+          res_write_idents =
+            List.map
+              (fun f -> ("Stable_mem", f))
+              [ "write"; "write_sub"; "fill"; "put_u32"; "put_i64" ];
+          res_fields = [];
+          res_owners =
+            [ "wal/"; "recovery/wellknown.ml"; "hw/stable_mem.ml"; "replica/apply.ml" ];
+        };
+        {
+          (* The injection half of the hardware API: arming hooks and
+             fabricating failures or corruption.  Query calls
+             (Disk.failed, Duplex.state) are legal anywhere.  Faults are
+             simulated inputs, never production behaviour: only lib/fault
+             and the defining hardware modules (Duplex fails its member
+             Disk) may inject.  Tests live outside lib/ and stay free to. *)
+          res_name = "device fault injection";
+          res_write_idents =
+            [
+              ("Disk", "set_fault_hook");
+              ("Disk", "corrupt_page");
+              ("Disk", "fail");
+              ("Duplex", "fail_primary");
+              ("Duplex", "fail_mirror");
+              ("Stable_mem", "set_fault_hook");
+              ("Stable_mem", "corrupt");
+              ("Ship_channel", "set_extra_delay");
+              ("Ship_channel", "set_drop");
+            ];
+          res_fields = [];
+          res_owners =
+            [ "fault/"; "hw/disk.ml"; "hw/duplex.ml"; "hw/stable_mem.ml"; "hw/ship_channel.ml" ];
+        };
         {
           res_name = "catalog descriptors";
           res_write_idents = [];
@@ -386,9 +372,9 @@ let default_config =
         { x_rel = "core/db_state.ml"; x_name = "Unknown_index" };
       ];
     r10_stdlib_exceptions = [ "Not_found"; "Exit" ];
-    (* fatal.ml is the one module allowed to raise outside the registry:
-       it implements the escape hatch itself (Invalid_argument for
-       misuse). *)
+    (* fatal.ml is the one module allowed to raise outside the registry,
+       bare partial functions included: it implements the escape hatch
+       itself (Invalid_argument for misuse). *)
     r10_raise_ok = [ "util/fatal.ml" ];
     r10_wildcard_allow =
       [

@@ -1,28 +1,11 @@
 (** The declared architecture mrdb_lint enforces.
 
     Rule set (each diagnostic cites the paper clause it protects):
-    - {b R1 wild-write discipline}: the mutating [Stable_mem] API is legal
-      only in [mrdb_wal] and [recovery/wellknown.ml] (and the defining
-      module itself).
-    - R2 (layering) is retired: dune enforces it.  [dune-project] sets
-      [implicit_transitive_deps false], so a library can name only the
-      [Mrdb_*] libraries its own [libraries] field lists, and an upward
-      edge such as [mrdb_recovery] -> [mrdb_core] is a dependency cycle.
-    - {b R3 partiality}: bare [failwith] / [invalid_arg] / [assert false] /
-      [Option.get] / [List.hd] are banned under [lib/] outside
-      [util/fatal.ml].
     - {b R4 sealed interfaces}: every [lib/**/*.ml] has a matching [.mli].
-    - {b R5 fault-injection containment}: arming fault hooks and
-      fabricating device failures/corruption is legal only under
-      [lib/fault/] and in the defining hardware modules (tests are outside
-      [lib/] and exempt).
     - {b R6 output discipline}: bare [Printf.printf] / [print_string] /
       [print_endline] / [print_newline] are banned under [lib/] outside
       [lib/obs/] and [util/texttab.ml] — library code renders through
       [Mrdb_obs.Export] or [Mrdb_util.Texttab]; only binaries print.
-    - R7 (SLB region ownership) is retired: R9's "striped SLB regions"
-      resource confines [Slb.Region.append] to the same owners
-      ([lib/wal/] and [core/db_system.ml], the per-executor redo sink).
 
     Interprocedural rules (run on the whole-program call graph built by
     {!Index} + {!Callgraph}, configured by {!type:config}):
@@ -32,36 +15,29 @@
       the call site sorts or carries a justified allowlist entry.
     - {b R9 ownership}: writes to registered shared mutable state must
       resolve — via the call graph, not per-file paths — to the declared
-      owning module.
+      owning module.  The registry includes raw stable-memory writes
+      (paper 2.2), device fault injection, and SLB region appends.
     - {b R10 structured raises}: every [raise] must construct a declared
-      structured exception (or re-raise); [try ... with _ ->] wildcards
-      are flagged.
+      structured exception (or re-raise); bare [failwith] / [invalid_arg]
+      / [assert false] / [Option.get] / [List.hd] count as raises of
+      unregistered stdlib exceptions; [try ... with _ ->] wildcards are
+      flagged.
     - {b R11 allowlist hygiene}: every allowlist/registry entry in the
-      configuration must still name a real file, binding and identifier. *)
+      configuration must still name a real file, binding and identifier.
+
+    Retired numbers are never reused.  R2 (layering) is dune's:
+    [dune-project] sets [implicit_transitive_deps false], so a library can
+    name only the [Mrdb_*] libraries its own [libraries] field lists, and
+    an upward edge such as [mrdb_recovery] -> [mrdb_core] is a dependency
+    cycle.  R1 (wild-write discipline), R5 (fault-injection containment)
+    and R7 (SLB region ownership) are R9 resources; R3 (partiality) is
+    part of R10. *)
 
 val libraries : (string * string) list
 (** Directory under [lib/] -> wrapped library name. *)
 
 val library_of_dir : string -> string option
 val is_known_library : string -> bool
-
-val stable_mem_mutators : string list
-val wild_write_allowed : string -> bool
-(** [wild_write_allowed rel] — [rel] relative to [lib/]. *)
-
-val banned_ident : string list -> string option
-(** [banned_ident path] is [Some display_name] when the flattened
-    identifier path is a banned partial function. *)
-
-val partiality_allowed : string -> bool
-(** The whitelisted escape hatch, [util/fatal.ml]. *)
-
-val fault_injection_idents : (string * string list) list
-(** Module -> injection functions ([Disk] -> [fail], ...); query calls are
-    deliberately absent. *)
-
-val fault_injection_allowed : string -> bool
-(** [fault_injection_allowed rel] — [rel] relative to [lib/]. *)
 
 val print_idents : (string list * string) list
 (** Banned implicit-stdout printers (identifier path, display name);
@@ -114,7 +90,9 @@ type config = {
   r9_resources : resource list;
   r10_exceptions : exn_decl list;  (** the sanctioned structured exceptions *)
   r10_stdlib_exceptions : string list;  (** e.g. [Not_found], [Exit] *)
-  r10_raise_ok : string list;  (** files exempt from the raise registry *)
+  r10_raise_ok : string list;
+      (** files exempt from the raise registry, bare partial functions
+          included *)
   r10_wildcard_allow : allow list;
       (** justified [try ... with _ ->] sites, keyed by file + binding *)
 }

@@ -1,4 +1,4 @@
-(* R5 fixture: production code fabricating a device fault — only lib/fault
-   (and tests, which are never linted) may do this. *)
+(* R9 fixture (device fault injection): production code fabricating a
+   device fault — only lib/fault (and unlinted tests) may do this. *)
 
 let sabotage disk = Mrdb_hw.Disk.fail disk

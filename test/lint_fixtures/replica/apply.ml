@@ -1,5 +1,5 @@
 (* Negative fixture: the batch-install path itself.  replica/apply.ml is
-   the one replication file on the R1 wild-write allowlist, so the same
+   the one replication file owning R9's stable-memory resource, so the same
    mutation that convicts rogue_apply.ml is sanctioned here — asserted by
    this file's absence from the golden diagnostic list. *)
 

@@ -1,6 +1,6 @@
-(* R1/R5 fixture: a standby-side module mutating stable memory raw and
-   degrading the ship link from outside the sanctioned install path —
-   replication code other than replica/apply.ml may do neither. *)
+(* R9 fixture: a standby-side module writing stable memory raw and
+   degrading the ship link — only replica/apply.ml may install a stable
+   image, and no replica file may inject device faults. *)
 
 let smuggle mem = Mrdb_hw.Stable_mem.put_u32 mem ~off:0 0xBEEF
 
