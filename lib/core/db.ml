@@ -127,11 +127,7 @@ let observe_txn_latency t tx =
       latency
 
 let do_abort t v tx =
-  Slb.Region.abort
-    (Slb.region v.slb (Txn_core.executor tx))
-    ~txn_id:(Txn_core.id tx);
-  Txn_core.Manager.abort v.txn_mgr tx;
-  ignore (Lock_mgr.release_all v.lock_mgr ~txn:(Txn_core.id tx));
+  Db_system.abort v tx;
   observe_txn_latency t tx;
   Trace.incr t.trace "aborts"
 
@@ -486,17 +482,13 @@ let crash t =
 let attach_recovery t v =
   let deps =
     {
-      Ckpt_mgr.log_redo =
-        (fun ~txn part ~redo ~undo:_ ->
-          Db_system.log_redo_raw (ctx t) v ~exec:(Txn_core.executor txn)
-            ~txn_id:(Txn_core.id txn) part redo);
-      drain = (fun () -> Db_system.drain (ctx t));
+      Ckpt_mgr.system_txn = (fun f -> Db_system.system_txn (ctx t) v f);
       layout = (fun () -> t.layout);
     }
   in
   Recovery_mgr.attach t.recovery ~env:(recovery_env t) ~deps ~log_disk:t.log_disk
     ~slb:v.slb ~slt:v.slt ~cat:v.cat ~seq:v.seq ~segments:v.segments
-    ~txn_mgr:v.txn_mgr ~lock_mgr:v.lock_mgr ~disk_map:v.disk_map ~ckpt_q:v.ckpt_q
+    ~lock_mgr:v.lock_mgr ~disk_map:v.disk_map ~ckpt_q:v.ckpt_q
 
 let resident_fraction t = Catalog.resident_fraction (vol t).cat
 
@@ -626,18 +618,15 @@ let create ?(config = Config.default) () =
   (* Bootstrap the catalog, buffering its physical ops so they can be
      logged once the volatile plumbing exists. *)
   let buffered = ref [] in
-  let boot_sink part ~redo ~undo:_ = buffered := (part, redo) :: !buffered in
+  let boot_sink part ~redo ~undo = buffered := (part, redo, undo) :: !buffered in
   let cat = Catalog.create ~partition_bytes:config.Config.partition_bytes ~log:boot_sink in
   let v = mk_vol (ctx t) ~slb ~slt ~cat ~ckpt_q in
   Hashtbl.replace v.segments Catalog.catalog_segment_id (Catalog.segment cat);
   attach_recovery t v;
   t.vol <- Some v;
   (* Log the buffered bootstrap ops under one system transaction. *)
-  let tx = Txn_core.Manager.begin_txn v.txn_mgr in
-  List.iter
-    (fun (part, redo) -> Db_system.log_redo_raw (ctx t) v ~txn_id:(Txn_core.id tx) part redo)
-    (List.rev !buffered);
-  Db_system.commit_system_txn (ctx t) v tx;
+  Db_system.system_txn (ctx t) v (fun _ log ->
+      List.iter (fun (part, redo, undo) -> log part ~redo ~undo) (List.rev !buffered));
   Db_system.update_wellknown (ctx t) v;
   t
 

@@ -77,11 +77,9 @@ val ensure_segment : ctx -> int -> unit
 (** {2 Relation runtimes} *)
 
 val rt_of : ctx -> vol -> string -> rel_rt
-(** @raise Unknown_relation when the catalog has no such relation. *)
-
-val note_cmd_capable : vol -> Catalog.rel_desc -> unit
-(** Register the relation in [cmd_rel_by_seg] when its schema is all-Int
-    (idempotent); called on every relation-runtime materialization. *)
+(** The relation's runtime, built on first use (registering it in
+    [cmd_rel_by_seg] when its schema is all-Int).
+    @raise Unknown_relation when the catalog has no such relation. *)
 
 val ensure_indices : ctx -> vol -> rel_rt -> unit
 val ensure_rel_resident : ctx -> vol -> rel_rt -> unit

@@ -112,53 +112,53 @@ let next_seq v part =
 
 let drain ctx = Log_sorter.drain (Recovery_mgr.sorter ctx.recovery)
 
-(* System transactions commit at once whatever the user commit mode: the
-   ring entry in region 0, then the drain. *)
-let commit_system_txn ctx v tx =
-  let txn_id = Txn_core.id tx in
-  Slb.Region.commit (Slb.region v.slb 0) ~txn_id;
-  Txn_core.Manager.commit v.txn_mgr tx;
-  ignore (Lock_mgr.release_all v.lock_mgr ~txn:txn_id);
-  drain ctx
+(* Roll a transaction back: free its SLB chain, apply its UNDO, release
+   its locks. *)
+let abort v tx =
+  Slb.Region.abort (Slb.region v.slb (Txn_core.executor tx)) ~txn_id:(Txn_core.id tx);
+  Txn_core.Manager.abort v.txn_mgr tx;
+  ignore (Lock_mgr.release_all v.lock_mgr ~txn:(Txn_core.id tx))
 
-(* Forward declaration dance: logging a user record may require registering
-   its partition in the catalog, which itself logs records under a system
-   transaction. *)
-let rec log_redo_raw ctx v ?(exec = 0) ~txn_id (part : Addr.partition) op =
-  if part.Addr.segment <> Catalog.catalog_segment_id then ensure_registered ctx v part;
-  let bin_index = Slt.bin_index_of v.slt part in
-  let seq = next_seq v part in
-  let record = Log_record.make ~tag:(tag_for v part) ~bin_index ~txn_id ~seq ~op in
-  Slb.Region.append (Slb.region v.slb exec) ~txn_id record;
-  Trace.incr ctx.trace "log_records";
-  Trace.add ctx.trace "codec_log_bytes" (Log_record.encoded_size record)
+(* A system transaction's UNDO rolls the catalog segment back: rebuild
+   the catalog in place, drop runtimes and overlays (first, so none reads
+   a half-rolled-back partition), forget the segments no longer named. *)
+let abort_system v tx =
+  Hashtbl.reset v.overlay_by_segment;
+  abort v tx;
+  let in_memory (part : Addr.partition) =
+    match Hashtbl.find_opt v.segments part.Addr.segment with
+    | Some s -> Segment.is_resident s part.Addr.partition
+    | None -> false
+  in
+  Catalog.reload v.cat ~resident:in_memory;
+  Hashtbl.reset v.rels;
+  Hashtbl.reset v.cmd_rel_by_seg;
+  Hashtbl.filter_map_inplace
+    (fun seg s ->
+      if seg = Catalog.catalog_segment_id || Catalog.relation_of_segment v.cat seg <> None
+      then Some s
+      else None)
+    v.segments
 
-and ensure_registered ctx v part =
-  if Catalog.partition_desc v.cat part = None then
-    with_system_txn ctx v (fun sink ->
-        ignore (Catalog.register_partition v.cat ~log:sink part))
-
-and with_system_txn : 'a. ctx -> vol -> (Relation.log_sink -> 'a) -> 'a =
- fun ctx v f ->
-  let tx = Txn_core.Manager.begin_txn v.txn_mgr in
-  let sink part ~redo ~undo:_ = log_redo_raw ctx v ~txn_id:(Txn_core.id tx) part redo in
-  let result = f sink in
-  commit_system_txn ctx v tx;
-  result
-
-let user_sink ctx v tx : Relation.log_sink =
-  (* One closure per transaction, cached on the transaction itself: DML
-     operations ask for the sink once per call, and a debit/credit
-     transaction makes several. *)
+(* A transaction's log sink, one closure cached on the transaction: UNDO
+   into the undo space, REDO into its executor's SLB region.  A first-
+   touched partition registers under the system transaction itself, or
+   under a system transaction of its own for a user transaction. *)
+let rec sink_of ctx v tx ~system : Relation.log_sink =
   match Txn_core.sink tx with
   | Some s -> s
   | None ->
       let region = Slb.region v.slb (Txn_core.executor tx) in
       let txn_id = Txn_core.id tx in
-      let s (part : Addr.partition) ~redo ~undo =
-        if part.Addr.segment <> Catalog.catalog_segment_id then
-          ensure_registered ctx v part;
+      let rec s (part : Addr.partition) ~redo ~undo =
         Txn_core.Manager.record_update v.txn_mgr tx part ~redo ~undo;
+        if part.Addr.segment <> Catalog.catalog_segment_id
+           && Catalog.partition_desc v.cat part = None
+        then
+          if system then ignore (Catalog.register_partition v.cat ~log:s part)
+          else
+            system_txn ctx v (fun _ log ->
+                ignore (Catalog.register_partition v.cat ~log part));
         let bin_index = Slt.bin_index_of v.slt part in
         let seq = next_seq v part in
         (* The transaction's appends land in its executor's own SLB region —
@@ -187,26 +187,37 @@ let user_sink ctx v tx : Relation.log_sink =
       Txn_core.set_sink tx s;
       s
 
+and system_txn : 'a. ctx -> vol -> (Txn_core.t -> Relation.log_sink -> 'a) -> 'a =
+ fun ctx v f ->
+  let tx = Txn_core.Manager.begin_txn v.txn_mgr in
+  let txn_id = Txn_core.id tx in
+  match
+    let result = f tx (sink_of ctx v tx ~system:true) in
+    (* The commit point, whatever the commit mode. *)
+    Slb.Region.commit (Slb.region v.slb 0) ~txn_id;
+    result
+  with
+  | result ->
+      Txn_core.Manager.commit v.txn_mgr tx;
+      ignore (Lock_mgr.release_all v.lock_mgr ~txn:txn_id);
+      drain ctx;
+      result
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      abort_system v tx;
+      Printexc.raise_with_backtrace e bt
+
+let user_sink ctx v tx = sink_of ctx v tx ~system:false
+
 let update_wellknown ctx v =
   Ckpt_mgr.update_wellknown ~layout:(ctx.layout ()) ~cat:v.cat
 
 (* -- DDL ------------------------------------------------------------------- *)
 
+(* The relation runtime is built on first use, by [rt_of]. *)
 let create_relation ctx v ~name ~schema =
-  with_system_txn ctx v (fun sink ->
-      let desc, seg_id = Catalog.create_relation v.cat ~log:sink ~name ~schema in
-      ignore (segment_of ctx seg_id);
-      let rt =
-        {
-          desc;
-          relation = Relation.create ~id:desc.Catalog.rel_id ~name ~schema
-              ~segment:(segment_of ctx seg_id);
-          index_insts = [];
-          indices_attached = true;
-        }
-      in
-      note_cmd_capable v desc;
-      Hashtbl.add v.rels name rt);
+  system_txn ctx v (fun _ sink ->
+      ignore (Catalog.create_relation v.cat ~log:sink ~name ~schema));
   update_wellknown ctx v;
   Trace.incr ctx.trace "relations_created"
 
@@ -217,7 +228,7 @@ let create_index ctx v ~rel ~name ~kind ~key_column =
     try Schema.column_index rt.desc.Catalog.schema key_column
     with Not_found -> Mrdb_util.Fatal.misuse ("Db.create_index: unknown column " ^ key_column)
   in
-  with_system_txn ctx v (fun sink ->
+  system_txn ctx v (fun _ sink ->
       let idx, seg_id =
         Catalog.add_index v.cat ~log:sink ~rel:rt.desc ~name ~kind
           ~key_column:key_column_idx
@@ -251,22 +262,18 @@ let drop_relation ctx v ~name =
     | Some d -> d
     | None -> raise (Unknown_relation name)
   in
-  (* Take an exclusive lock so no live transaction holds the relation. *)
-  let tx = Txn_core.Manager.begin_txn v.txn_mgr in
-  (match
-     Lock_mgr.acquire v.lock_mgr ~txn:(Txn_core.id tx)
-       (Lock_mgr.Relation desc.Catalog.rel_id) Lock_mgr.X
-   with
-  | Lock_mgr.Granted -> ()
-  | Lock_mgr.Blocked | Lock_mgr.Deadlock ->
-      ignore (Lock_mgr.release_all v.lock_mgr ~txn:(Txn_core.id tx));
-      Txn_core.Manager.abort v.txn_mgr tx;
-      raise (Aborted "drop_relation: relation is in use"));
   let partitions = desc.Catalog.partitions in
-  (* Atomic step: catalog deletions commit in one system transaction. *)
-  let sink part ~redo ~undo:_ = log_redo_raw ctx v ~txn_id:(Txn_core.id tx) part redo in
-  Catalog.drop_relation v.cat ~log:sink desc;
-  commit_system_txn ctx v tx;
+  (* Atomic step: the catalog deletions commit in one system transaction,
+     under an exclusive lock so no live transaction holds the relation. *)
+  system_txn ctx v (fun tx sink ->
+      (match
+         Lock_mgr.acquire v.lock_mgr ~txn:(Txn_core.id tx)
+           (Lock_mgr.Relation desc.Catalog.rel_id) Lock_mgr.X
+       with
+      | Lock_mgr.Granted -> ()
+      | Lock_mgr.Blocked | Lock_mgr.Deadlock ->
+          raise (Aborted "drop_relation: relation is in use"));
+      Catalog.drop_relation v.cat ~log:sink desc);
   (* Resource reclamation (idempotent; re-done by recovery if we crash
      mid-way): bins, checkpoint-disk runs, memory, runtimes. *)
   List.iter

@@ -2,12 +2,13 @@
 
     The main CPU's half of the logging contract: stamp each physical
     operation with its partition's bin-table index and sequence number and
-    append it to the SLB (commit is one stable-memory write).  User
-    transactions log through {!user_sink}; catalog maintenance runs under
-    short system transactions ({!with_system_txn}), including the DDL
-    operations and partition registration.  Draining the SLB into bins is
-    the recovery CPU's job ({!Mrdb_recovery.Log_sorter}); [drain] here
-    just delegates. *)
+    append it to the SLB (commit is one stable-memory write).  Every
+    transaction logs through one sink, UNDO and REDO alike.  Catalog
+    maintenance — DDL, partition registration, the checkpoint's location
+    install, the bootstrap — runs as short {!system_txn}s that commit and
+    abort like user transactions.  Draining the SLB into bins is the
+    recovery CPU's job ({!Mrdb_recovery.Log_sorter}); [drain] here just
+    delegates. *)
 
 open Mrdb_storage
 open Db_state
@@ -16,23 +17,21 @@ val drain : ctx -> unit
 (** Delegate to the recovery component's sorter: SLB → partition bins →
     page writes, costed on the recovery CPU. *)
 
-val log_redo_raw :
-  ctx -> vol -> ?exec:int -> txn_id:int -> Addr.partition -> Part_op.t -> unit
-(** Append one REDO record under [txn_id] into executor [exec]'s SLB
-    region (default 0, the system region), registering the partition in
-    the catalog first if needed (itself a logged system transaction). *)
+val abort : vol -> Mrdb_txn.Txn.t -> unit
+(** Roll a transaction back: free its SLB chain, apply its UNDO, release
+    its locks. *)
 
-val commit_system_txn : ctx -> vol -> Mrdb_txn.Txn.t -> unit
-(** Commit a system transaction now, whatever {!Config.commit_mode} says:
-    its ring entry in SLB region 0, release any locks it holds, drain. *)
-
-val with_system_txn : ctx -> vol -> (Relation.log_sink -> 'a) -> 'a
-(** Run [f] under a fresh system transaction whose sink logs REDO records,
-    then {!commit_system_txn} it. *)
+val system_txn : ctx -> vol -> (Mrdb_txn.Txn.t -> Relation.log_sink -> 'a) -> 'a
+(** Run [f] under a fresh system transaction and its sink (a partition it
+    touches first registers under it), then commit at once in SLB region
+    0 whatever {!Config.commit_mode} says.  When [f] or the ring entry
+    raises, {!abort}, rebuild the catalog in place from its rolled-back
+    segment (runtimes and overlays rebuild lazily), and re-raise. *)
 
 val user_sink : ctx -> vol -> Mrdb_txn.Txn.t -> Relation.log_sink
 (** The log sink for a user transaction: records UNDO in the volatile undo
-    space and REDO in the SLB. *)
+    space and REDO in the SLB.  A partition the transaction touches first
+    is registered by a system transaction of its own. *)
 
 val update_wellknown : ctx -> vol -> unit
 (** Refresh the well-known stable area from the catalog (delegates to
@@ -47,5 +46,6 @@ val create_index :
   key_column:string -> unit
 
 val drop_relation : ctx -> vol -> name:string -> unit
-(** @raise Unknown_relation / [Aborted] when a live transaction holds the
-    relation. *)
+(** The X lock is taken inside the system transaction.
+    @raise Unknown_relation / [Aborted] when a live transaction holds the
+    relation (the drop then aborts). *)

@@ -79,7 +79,7 @@ val crash_queue : t -> unit
 
 val busy_until : t -> float
 
-(** {2 Fault injection (lib/fault and tests only — enforced by lint R5)} *)
+(** {2 Fault injection (lib/fault and tests only — enforced by lint R9)} *)
 
 type fault_hook = {
   on_read : page:int -> string option;

@@ -52,7 +52,7 @@ val read_page :
     @raise Both_mirrors_failed when no mirror is live at submit time. *)
 
 val fail_primary : t -> unit
-(** Simulate media failure of the primary (lint rule R5 restricts callers
+(** Simulate media failure of the primary (lint rule R9 restricts callers
     to lib/fault and tests): reads fall back to the mirror, writes continue
     single-copy and are counted as degraded. *)
 

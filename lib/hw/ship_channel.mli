@@ -6,7 +6,7 @@
     frame format (CRC envelope, batch payloads, handshakes) belongs to
     {!Mrdb_replica.Ship_log}, keeping this device as dumb as the disks.
 
-    Fault surface (lint rule R5 restricts the setters to lib/fault and
+    Fault surface (lint rule R9 restricts the setters to lib/fault and
     tests): a partitioned link adds latency ({!set_extra_delay}) or
     discards frames outright ({!set_drop}).  Dropped frames are never
     delivered — the shipping protocol's cursor/ack resend is
@@ -34,7 +34,7 @@ val send : t -> bytes -> unit
 (** Ship one frame (copied at send time): delivered to the receiver after
     the current delay, FIFO, or dropped when the link is dropping. *)
 
-(** {2 Link faults (lib/fault and tests only — enforced by lint R5)} *)
+(** {2 Link faults (lib/fault and tests only — enforced by lint R9)} *)
 
 val set_extra_delay : t -> float -> unit
 (** Add latency on top of the base propagation delay (0 restores). *)

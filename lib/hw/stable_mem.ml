@@ -22,14 +22,15 @@ let check t off len =
          (off + len) (size t))
 
 (* One branch on the logging hot path; bench/hotpath.ml's [append_hooked]
-   guards its cost. *)
+   guards its cost.  Every mutator calls it before its store, so a hook
+   that raises means "crash before this write". *)
 let notify_write t ~off ~len =
   match t.hook with None -> () | Some h -> h.on_write ~off ~len
 
 let write_sub t ~off b ~pos ~len =
   check t off len;
-  Bytes.blit b pos t.data off len;
   notify_write t ~off ~len;
+  Bytes.blit b pos t.data off len;
   t.bytes_written <- t.bytes_written + len
 
 let write t ~off b = write_sub t ~off b ~pos:0 ~len:(Bytes.length b)
@@ -46,8 +47,8 @@ let blit_out t ~off b ~pos ~len =
 
 let fill t ~off ~len c =
   check t off len;
-  Bytes.fill t.data off len c;
   notify_write t ~off ~len;
+  Bytes.fill t.data off len c;
   t.bytes_written <- t.bytes_written + len
 
 let get_u32 t ~off =
@@ -76,7 +77,7 @@ let crash (_ : t) = ()
 
 let set_fault_hook t hook = t.hook <- hook
 
-(* Injection only (lint R5): flip bytes behind the wild-write protection —
+(* Injection only (lint R9): flip bytes behind the wild-write protection —
    models a stable-memory cell losing its contents, which the redundant
    structures above (the well-known area's second copy) must absorb. *)
 let corrupt t ~off ~len =

@@ -42,11 +42,15 @@ val bytes_read : t -> int
 val bytes_written : t -> int
 (** Access accounting for the performance model. *)
 
-(** {2 Fault injection (lib/fault and tests only — enforced by lint R5)} *)
+(** {2 Fault injection (lib/fault and tests only — enforced by lint R9)} *)
 
 type fault_hook = { on_write : off:int -> len:int -> unit }
 (** Observation hook on every mutation (one branch on the logging hot
-    path when installed; zero-cost [None] check otherwise). *)
+    path when installed; zero-cost [None] check otherwise).  Every
+    mutator ([write], [write_sub], [fill], [put_u32], [put_i64]) calls it
+    before its store, so a hook that raises at the k-th call models a
+    crash just before write k, and a run to completion covers the state
+    after the last write. *)
 
 val set_fault_hook : t -> fault_hook option -> unit
 

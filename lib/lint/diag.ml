@@ -49,8 +49,8 @@ let paper_clause = function
       ^ "reconstruct the exact committed state, so no function reachable "
       ^ "from the commit, drain, or recovery entry points may draw hidden "
       ^ "nondeterminism (wall clock, Random, polymorphic Hashtbl.hash, or "
-      ^ "unordered Hashtbl iteration that is neither sorted at the call "
-      ^ "site nor allowlisted)"
+      ^ "unordered Hashtbl iteration) unless a justified allowlist entry "
+      ^ "covers it"
   | R9 ->
       "single-owner log chains (Wu et al., parallel replay): every piece "
       ^ "of shared mutable state has exactly one owning module; a write "

@@ -144,8 +144,8 @@ let check_r8 ~lib_dir (config : Rules.config) index graph =
                         (match kind with
                         | Rules.Random_src ->
                             List.mem n.Callgraph.n_rel config.Rules.r8_random_ok
-                        | Rules.Unordered_iter -> b.Index.b_sorts
-                        | Rules.Clock | Rules.Poly_hash -> false)
+                        | Rules.Unordered_iter | Rules.Clock | Rules.Poly_hash ->
+                            false)
                         || List.exists
                              (fun (a : Rules.allow) ->
                                a.Rules.a_rel = n.Callgraph.n_rel
@@ -160,9 +160,9 @@ let check_r8 ~lib_dir (config : Rules.config) index graph =
                             ~file:(file_of ~lib_dir n.Callgraph.n_rel)
                             ~line ~col
                             (Printf.sprintf
-                               "%s on the deterministic path %s; sort the \
-                                iteration, derive from the simulated clock, \
-                                or add a justified Rules allowlist entry"
+                               "%s on the deterministic path %s; iterate in \
+                                a defined order, derive from the simulated \
+                                clock, or add a justified Rules allowlist entry"
                                display
                                (render_chain (Callgraph.chain parents n)))
                           :: !diags

@@ -27,7 +27,6 @@ type binding = {
   b_raises : raise_site list;
   b_setfields : (string list * Location.t) list;
   b_wildcards : Location.t list;
-  b_sorts : bool;  (* body references List/Array sort — "call site sorts" *)
 }
 
 type modinfo = {
@@ -54,17 +53,7 @@ type collector = {
   mutable c_raises : raise_site list;
   mutable c_setfields : (string list * Location.t) list;
   mutable c_wildcards : Location.t list;
-  mutable c_sorts : bool;
 }
-
-let is_sort_ref = function
-  | [ ("List" | "ListLabels" | "Array" | "ArrayLabels");
-      ("sort" | "sort_uniq" | "stable_sort" | "fast_sort") ]
-  | [ "Stdlib";
-      ("List" | "ListLabels" | "Array" | "ArrayLabels");
-      ("sort" | "sort_uniq" | "stable_sort" | "fast_sort") ] ->
-      true
-  | _ -> false
 
 let is_raise_ident = function
   | [ ("raise" | "raise_notrace") ]
@@ -99,7 +88,6 @@ let collect_body (c : collector) (e : Parsetree.expression) =
     match flatten_opt lid.txt with
     | None -> ()
     | Some path ->
-        if is_sort_ref path then c.c_sorts <- true;
         if is_partial_ident path then
           c.c_raises <-
             { r_arg = Partial (String.concat "." path); r_loc = lid.loc }
@@ -181,7 +169,7 @@ let rec walk_items ~prefix acc_bindings acc_exns acc_exn_aliases acc_fields
               in
               let c =
                 { c_refs = []; c_raises = []; c_setfields = [];
-                  c_wildcards = []; c_sorts = false }
+                  c_wildcards = [] }
               in
               collect_body c vb.pvb_expr;
               acc_bindings :=
@@ -192,7 +180,6 @@ let rec walk_items ~prefix acc_bindings acc_exns acc_exn_aliases acc_fields
                   b_raises = List.rev c.c_raises;
                   b_setfields = List.rev c.c_setfields;
                   b_wildcards = List.rev c.c_wildcards;
-                  b_sorts = c.c_sorts;
                 }
                 :: !acc_bindings)
             vbs

@@ -37,9 +37,6 @@ type binding = {
   b_setfields : (string list * Location.t) list;
       (** record fields assigned ([x.f <- ...]) *)
   b_wildcards : Location.t list;  (** [try ... with _ ->] sites *)
-  b_sorts : bool;
-      (** the body references [List.sort]/[Array.sort] family — the
-          "call site sorts" escape for unordered-iteration diagnostics *)
 }
 
 type modinfo = {

@@ -12,7 +12,9 @@
     - {b R8 determinism}: no function reachable from a commit/drain/recovery
       entry point may touch a nondeterminism source ([Random], wall
       clocks, polymorphic hashing, unordered [Hashtbl] iteration) unless
-      the call site sorts or carries a justified allowlist entry.
+      a justified allowlist entry names the binding and the identifier —
+      a fold that sorts its result too, so no reachable iteration goes
+      unreviewed.
     - {b R9 ownership}: writes to registered shared mutable state must
       resolve — via the call graph, not per-file paths — to the declared
       owning module.  The registry includes raw stable-memory writes

@@ -11,8 +11,7 @@ module Ckpt_image = Mrdb_ckpt.Ckpt_image
 module Archive = Mrdb_archive.Archive
 
 type deps = {
-  log_redo : txn:Txn_core.t -> Relation.log_sink;
-  drain : unit -> unit;
+  system_txn : 'a. (Txn_core.t -> Relation.log_sink -> 'a) -> 'a;
   layout : unit -> Stable_layout.t;
 }
 
@@ -22,8 +21,6 @@ type t = {
   restorer : Restorer.t;
   cat : Catalog.t;
   slt : Slt.t;
-  slb : Slb.t;
-  txn_mgr : Txn_core.Manager.mgr;
   lock_mgr : Lock_mgr.t;
   seq : int Addr.Partition_table.t;
   disk_map : Disk_map.t;
@@ -31,10 +28,9 @@ type t = {
   mutable img_scratch : bytes; (* reusable checkpoint-image buffer *)
 }
 
-let create ~env ~deps ~restorer ~cat ~slt ~slb ~txn_mgr ~lock_mgr ~seq ~disk_map
-    ~ckpt_q =
-  { env; deps; restorer; cat; slt; slb; txn_mgr; lock_mgr; seq; disk_map;
-    ckpt_q; img_scratch = Bytes.create 0 }
+let create ~env ~deps ~restorer ~cat ~slt ~lock_mgr ~seq ~disk_map ~ckpt_q =
+  { env; deps; restorer; cat; slt; lock_mgr; seq; disk_map; ckpt_q;
+    img_scratch = Bytes.create 0 }
 
 let queue c = c.ckpt_q
 let disk_map c = c.disk_map
@@ -79,6 +75,85 @@ let rebuild_disk_map ~disk_map ~cat =
 
 let page_bytes c = (Stable_layout.config (c.deps.layout ())).Stable_layout.log_page_bytes
 
+(* A checkpoint transaction holding the relation's S lock: copy, take the
+   bin cut with the watermark (no simulated time passes in between), drop
+   the lock, log the new location, write the image.  Returns the
+   watermark and the old image run, which the commit frees. *)
+let install c (part : Addr.partition) (desc : Catalog.partition_desc) ~txn ~log =
+  let p =
+    Segment.find_exn (Restorer.segment_of c.restorer part.Addr.segment)
+      part.Addr.partition
+  in
+  (* The archive keeps images forever, so it gets a real copy; the disk
+     image is encoded straight out of the partition's backing buffer into
+     the reusable scratch — no simulated time passes between here and the
+     submit-time capture inside [Disk.write_track], so the bytes are the
+     locked state. *)
+  let arch_snapshot =
+    match c.env.Recovery_env.archiver with
+    | Some _ -> Some (Partition.snapshot p)
+    | None -> None
+  in
+  let watermark =
+    match Addr.Partition_table.find_opt c.seq part with
+    | Some n -> n
+    | None -> 0
+  in
+  (match Slt.begin_checkpoint c.slt part with
+  | `Cut | `Nothing_to_cut -> ()
+  | `Shadow_busy ->
+      (* A cut from an interrupted checkpoint is still parked; proceed
+         without a new cut — checkpoint_finished falls back to the
+         watermark rule. *)
+      Trace.incr c.env.Recovery_env.trace "ckpt_shadow_busy");
+  ignore (Lock_mgr.release_all c.lock_mgr ~txn:(Txn_core.id txn));
+  let raw = Partition.unsafe_raw p in
+  let total =
+    Ckpt_image.pages_needed ~page_bytes:(page_bytes c)
+      ~snapshot_bytes:(Bytes.length raw)
+    * page_bytes c
+  in
+  (* Exact-size match: [write_track] takes the whole buffer, and all
+     partitions of one instance share a configured size anyway. *)
+  if Bytes.length c.img_scratch <> total then c.img_scratch <- Bytes.create total;
+  let image = c.img_scratch in
+  ignore
+    (Ckpt_image.encode_into ~page_bytes:(page_bytes c) ~part ~watermark
+       ~snapshot:raw image
+      : int);
+  let pages = Bytes.length image / page_bytes c in
+  let old =
+    if desc.Catalog.ckpt_page >= 0 then
+      Some (desc.Catalog.ckpt_page, desc.Catalog.ckpt_page_count)
+    else None
+  in
+  let first_page =
+    match Disk_map.allocate c.disk_map ~pages with
+    | Some p -> p
+    | None -> Mrdb_util.Fatal.invariant ~mod_:"Ckpt_mgr" "checkpoint disk full"
+  in
+  match
+    (* §2.4 step 5: log the catalog/disk-map updates before the partition
+       is written. *)
+    Catalog.set_ckpt_location c.cat ~log part ~page:first_page ~pages;
+    let durable = ref false in
+    Mrdb_hw.Disk.write_track (c.env.Recovery_env.ckpt_disk ()) ~first_page image
+      (fun () -> durable := true);
+    Recovery_env.pump_until c.env (fun () -> !durable);
+    match (c.env.Recovery_env.archiver, arch_snapshot) with
+    | Some a, Some snapshot ->
+        Archive.on_ckpt_image a
+          (Ckpt_image.make ~part ~watermark ~snapshot)
+          ~page_bytes:(page_bytes c)
+    | _ -> ()
+  with
+  | () -> (watermark, old)
+  | exception e ->
+      (* The transaction aborts and the catalog keeps the old location:
+         the new run was never referenced. *)
+      Disk_map.release c.disk_map ~page:first_page ~pages;
+      raise e
+
 (* One partition-checkpoint transaction (§2.4).  [`Deferred] means the
    relation lock is held by a live transaction; the request stays queued. *)
 let run c (part : Addr.partition) =
@@ -100,91 +175,20 @@ let run c (part : Addr.partition) =
         | Some r -> r
         | None -> Mrdb_util.Fatal.invariant ~mod_:"Ckpt_mgr" "checkpoint of unowned segment"
       in
-      let tx = Txn_core.Manager.begin_txn c.txn_mgr in
       match
-        Lock_mgr.acquire c.lock_mgr ~txn:(Txn_core.id tx)
-          (Lock_mgr.Relation rel.Catalog.rel_id) Lock_mgr.S
+        c.deps.system_txn (fun tx log ->
+            match
+              Lock_mgr.acquire c.lock_mgr ~txn:(Txn_core.id tx)
+                (Lock_mgr.Relation rel.Catalog.rel_id) Lock_mgr.S
+            with
+            | Lock_mgr.Blocked | Lock_mgr.Deadlock -> None
+            | Lock_mgr.Granted -> Some (install c part desc ~txn:tx ~log))
       with
-      | Lock_mgr.Blocked | Lock_mgr.Deadlock ->
-          ignore (Lock_mgr.release_all c.lock_mgr ~txn:(Txn_core.id tx));
-          Txn_core.Manager.abort c.txn_mgr tx;
+      | None ->
           Trace.incr trace "ckpt_deferred_lock_held";
           `Deferred
-      | Lock_mgr.Granted ->
-          (* Copy at memory speed, take the bin cut atomically with the
-             watermark (no simulated time passes in between), then drop the
-             lock immediately. *)
-          let p =
-            Segment.find_exn (Restorer.segment_of c.restorer part.Addr.segment)
-              part.Addr.partition
-          in
-          (* The archive keeps images forever, so it gets a real copy; the
-             disk image is encoded straight out of the partition's backing
-             buffer into the reusable scratch — no simulated time passes
-             between here and the submit-time capture inside
-             [Disk.write_track], so the bytes are the locked state. *)
-          let arch_snapshot =
-            match c.env.Recovery_env.archiver with
-            | Some _ -> Some (Partition.snapshot p)
-            | None -> None
-          in
-          let watermark =
-            match Addr.Partition_table.find_opt c.seq part with
-            | Some n -> n
-            | None -> 0
-          in
-          (match Slt.begin_checkpoint c.slt part with
-          | `Cut | `Nothing_to_cut -> ()
-          | `Shadow_busy ->
-              (* A cut from a crash-interrupted checkpoint is still parked;
-                 proceed without a new cut — checkpoint_finished falls back
-                 to the watermark rule. *)
-              Trace.incr trace "ckpt_shadow_busy");
-          ignore (Lock_mgr.release_all c.lock_mgr ~txn:(Txn_core.id tx));
-          let raw = Partition.unsafe_raw p in
-          let total =
-            Ckpt_image.pages_needed ~page_bytes:(page_bytes c)
-              ~snapshot_bytes:(Bytes.length raw)
-            * page_bytes c
-          in
-          (* Exact-size match: [write_track] takes the whole buffer, and all
-             partitions of one instance share a configured size anyway. *)
-          if Bytes.length c.img_scratch <> total then
-            c.img_scratch <- Bytes.create total;
-          let image = c.img_scratch in
-          ignore
-            (Ckpt_image.encode_into ~page_bytes:(page_bytes c) ~part ~watermark
-               ~snapshot:raw image
-              : int);
-          let pages = Bytes.length image / page_bytes c in
-          let old =
-            if desc.Catalog.ckpt_page >= 0 then
-              Some (desc.Catalog.ckpt_page, desc.Catalog.ckpt_page_count)
-            else None
-          in
-          let first_page =
-            match Disk_map.allocate c.disk_map ~pages with
-            | Some p -> p
-            | None -> Mrdb_util.Fatal.invariant ~mod_:"Ckpt_mgr" "checkpoint disk full"
-          in
-          (* §2.4 step 5: log the catalog/disk-map updates before the
-             partition is written. *)
-          Catalog.set_ckpt_location c.cat ~log:(c.deps.log_redo ~txn:tx) part
-            ~page:first_page ~pages;
-          let durable = ref false in
-          Mrdb_hw.Disk.write_track (c.env.Recovery_env.ckpt_disk ()) ~first_page
-            image (fun () -> durable := true);
-          Recovery_env.pump_until c.env (fun () -> !durable);
-          (match (c.env.Recovery_env.archiver, arch_snapshot) with
-          | Some a, Some snapshot ->
-              Archive.on_ckpt_image a
-                (Ckpt_image.make ~part ~watermark ~snapshot)
-                ~page_bytes:(page_bytes c)
-          | _ -> ());
-          (* Commit installs the new location atomically. *)
-          Slb.Region.commit (Slb.region c.slb 0) ~txn_id:(Txn_core.id tx);
-          Txn_core.Manager.commit c.txn_mgr tx;
-          c.deps.drain ();
+      | Some (watermark, old) ->
+          (* Committed: the new location is installed. *)
           (match old with
           | Some (p0, n) -> Disk_map.release c.disk_map ~page:p0 ~pages:n
           | None -> ());

@@ -9,14 +9,13 @@
 
 open Mrdb_storage
 
-(** What the checkpoint manager needs from the transaction facade.  The
-    log sink routes catalog updates through the facade's logging plumbing
-    (registration, bin-index stamping); [drain] is the post-commit SLB
-    drain; [layout] is a getter because recovery re-attaches the stable
-    layout. *)
+(** What the checkpoint manager needs from the transaction facade.
+    [system_txn f] runs [f] as the facade's system transaction: its sink
+    logs the catalog update with UNDO, the transaction commits (and
+    drains) when [f] returns and aborts when it raises.  [layout] is a
+    getter because recovery re-attaches the stable layout. *)
 type deps = {
-  log_redo : txn:Mrdb_txn.Txn.t -> Relation.log_sink;
-  drain : unit -> unit;
+  system_txn : 'a. (Mrdb_txn.Txn.t -> Relation.log_sink -> 'a) -> 'a;
   layout : unit -> Mrdb_wal.Stable_layout.t;
 }
 
@@ -28,8 +27,6 @@ val create :
   restorer:Restorer.t ->
   cat:Catalog.t ->
   slt:Mrdb_wal.Slt.t ->
-  slb:Mrdb_wal.Slb.t ->
-  txn_mgr:Mrdb_txn.Txn.Manager.mgr ->
   lock_mgr:Mrdb_txn.Lock_mgr.t ->
   seq:int Addr.Partition_table.t ->
   disk_map:Mrdb_ckpt.Disk_map.t ->
@@ -40,10 +37,12 @@ val queue : t -> Mrdb_ckpt.Ckpt_queue.t
 val disk_map : t -> Mrdb_ckpt.Disk_map.t
 
 val run : t -> Addr.partition -> [ `Done | `Deferred ]
-(** Run one partition-checkpoint transaction now.  [`Deferred] (relation
-    lock held by a live transaction) bumps the [ckpt_deferred_lock_held]
-    counter and leaves the request to be retried.
-    @raise Failure when the checkpoint disk is full. *)
+(** Run one partition-checkpoint transaction now, as a system transaction.
+    [`Deferred] (relation lock held by a live transaction) bumps the
+    [ckpt_deferred_lock_held] counter and leaves the request to be
+    retried.  When the transaction aborts, the catalog keeps the old
+    location and the new image's disk run is freed.
+    @raise Mrdb_util.Fatal.Invariant when the checkpoint disk is full. *)
 
 val process : t -> int
 (** Drain the request queue (the main CPU's between-transaction polling);

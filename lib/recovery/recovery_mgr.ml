@@ -17,13 +17,12 @@ let create ~sim ~mips = { cpu = Cpu.create ~name:"recovery" sim ~mips; comps = N
 
 let cpu t = t.cpu
 
-let attach t ~env ~deps ~log_disk ~slb ~slt ~cat ~seq ~segments ~txn_mgr ~lock_mgr
-    ~disk_map ~ckpt_q =
+let attach t ~env ~deps ~log_disk ~slb ~slt ~cat ~seq ~segments ~lock_mgr ~disk_map
+    ~ckpt_q =
   let sorter = Log_sorter.create ~env ~cpu:t.cpu ~log_disk ~slb ~slt in
   let restorer = Restorer.create ~env ~slt ~cat ~seq ~segments in
   let ckpt =
-    Ckpt_mgr.create ~env ~deps ~restorer ~cat ~slt ~slb ~txn_mgr ~lock_mgr ~seq
-      ~disk_map ~ckpt_q
+    Ckpt_mgr.create ~env ~deps ~restorer ~cat ~slt ~lock_mgr ~seq ~disk_map ~ckpt_q
   in
   t.comps <- Some { sorter; restorer; ckpt }
 

@@ -30,7 +30,6 @@ val attach :
   cat:Catalog.t ->
   seq:int Addr.Partition_table.t ->
   segments:(int, Segment.t) Hashtbl.t ->
-  txn_mgr:Mrdb_txn.Txn.Manager.mgr ->
   lock_mgr:Mrdb_txn.Lock_mgr.t ->
   disk_map:Mrdb_ckpt.Disk_map.t ->
   ckpt_q:Mrdb_ckpt.Ckpt_queue.t ->

@@ -88,7 +88,15 @@ let read_ckpt_image env ~(part : Addr.partition) ~first_page ~pages k =
 (* The REDO kernel: walk the recovered frames in stream order, straight
    from the page bytes.  A record at or below the watermark is already in
    the image and is skipped on its peeked sequence number, undecoded
-   (idempotent replay, for both record families).  A physical operation
+   (idempotent replay, for both record families).  A record is also
+   skipped when it repeats the current run: within one bin a
+   transaction's records form one run of rising [seq], so a frame with
+   the run's txn id and a [seq] at or below its top is a second copy, left
+   by a crash between a record's bin append and the ring-head advance that
+   retires its chain (restart then drains the whole chain again).  Logical
+   REDO is not idempotent, so each record must apply exactly once.  Txn
+   ids restart at 1 after a recovery, but a reused id carries higher
+   seqs, so it never extends an old run.  A physical operation
    is applied in place, its entity blitted from the page into the
    partition; a command is decoded in place and goes through the dispatch
    table — against the relation layer when [rel] is supplied (forced on
@@ -98,10 +106,22 @@ type replayed = { max_seq : int; frames : int; applied : int }
 
 let replay ~partition ?rel ~watermark frames =
   let max_seq = ref watermark and seen = ref 0 and applied = ref 0 in
+  (* The current run is the last frame that was not a repeat; its txn id
+     is read only when a frame's seq does not rise past the run's top. *)
+  let run_buf = ref Bytes.empty and run_pos = ref 0 and run_top = ref (-1) in
   let apply b ~pos ~len =
     incr seen;
     let seq = Log_record.peek_seq b ~pos in
-    if seq > watermark then begin
+    let repeat =
+      seq <= !run_top
+      && Log_record.peek_txn_id b ~pos = Log_record.peek_txn_id !run_buf ~pos:!run_pos
+    in
+    if not repeat then begin
+      run_buf := b;
+      run_pos := pos;
+      run_top := seq
+    end;
+    if seq > watermark && not repeat then begin
       if Log_record.is_command b ~pos then begin
         let target =
           match rel with

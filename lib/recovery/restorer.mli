@@ -41,7 +41,10 @@ val replay :
 (** The REDO kernel shared by every replay path: walk the frames in
     stream order straight from the page bytes and apply each record with
     [seq > watermark] to the partition.  Records at or below the
-    watermark are skipped on their peeked sequence number, undecoded.
+    watermark are skipped on their peeked sequence number, undecoded; so
+    is a record that repeats its transaction's run in the stream (same
+    txn id, [seq] at or below the run's top) — the second copy a crash
+    mid-drain leaves — so each record applies exactly once.
     Physical records apply in place, their entities blitted from the page
     ({!Part_op.apply_encoded}); logical command records are decoded in
     place and go through {!Mrdb_logical.Replay} — against the relation

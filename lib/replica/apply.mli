@@ -1,7 +1,7 @@
 (** Standby-side batch apply and divergence audit.
 
     This module is the ONLY sanctioned writer of a standby's durable state
-    (lint rules R1 and R9 pin the [Stable_mem] mutation and the
+    (lint rule R9 pins the [Stable_mem] mutation and the
     [install_page] entry points here): a shipped, CRC-verified batch lands
     on the standby's log disk, checkpoint disk and stable memory as
     untimed installs executed synchronously between simulated events, so a

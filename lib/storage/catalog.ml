@@ -26,15 +26,17 @@ type rel_desc = {
 
 module Segment_table = Hashtbl.Make (Int)
 
+(* Everything but the segment is mutable so that {!reload} can swap a
+   freshly decoded state in under the same handle. *)
 type t = {
   segment : Segment.t;
-  by_name : (string, rel_desc) Hashtbl.t;
-  by_id : (int, rel_desc) Hashtbl.t;
-  by_segment : (int, rel_desc) Hashtbl.t;
-  part_index : partition_desc Addr.Partition_table.t;
-  self_addr : (int, Addr.t) Hashtbl.t;           (* rel_id -> entity addr *)
-  part_addr : Addr.t Addr.Partition_table.t;     (* partition -> entity addr *)
-  non_resident : int Segment_table.t;
+  mutable by_name : (string, rel_desc) Hashtbl.t;
+  mutable by_id : (int, rel_desc) Hashtbl.t;
+  mutable by_segment : (int, rel_desc) Hashtbl.t;
+  mutable part_index : partition_desc Addr.Partition_table.t;
+  mutable self_addr : (int, Addr.t) Hashtbl.t;       (* rel_id -> entity addr *)
+  mutable part_addr : Addr.t Addr.Partition_table.t; (* partition -> entity addr *)
+  mutable non_resident : int Segment_table.t;
       (* segment -> its non-resident descriptors; absent means 0.  Kept in
          step with every [resident] flag, so "is this segment fully
          resident?" costs one lookup. *)
@@ -145,38 +147,44 @@ let count_non_resident t desc delta =
   else Segment_table.replace t.non_resident seg n;
   t.non_resident_total <- t.non_resident_total + delta
 
+let entity_exn t addr =
+  match Segment.read_entity t.segment addr with
+  | Some data -> data
+  | None -> Mrdb_util.Fatal.invariant ~mod_:"Catalog" "tracked entity is missing"
+
+(* Every catalog change is logged with a real before-image, as a relation
+   tuple's is: DDL and checkpoint installs run as system transactions that
+   abort like any other. *)
+let log_op ~log (addr : Addr.t) ~before redo =
+  log (Addr.partition_of addr) ~redo ~undo:(Part_op.undo_of ~before redo)
+
+let delete_entity_logged t ~log (addr : Addr.t) =
+  let old = entity_exn t addr in
+  Segment.delete_entity t.segment addr;
+  log_op ~log addr ~before:(Some old) (Part_op.Delete { slot = addr.Addr.slot })
+
 (* Store an encoded entity at a tracked address (insert or update),
    logging the change; returns the (possibly new) address. *)
 let store_entity t ~log ~existing data =
+  let insert () =
+    match Segment.insert_entity t.segment data with
+    | None -> Mrdb_util.Fatal.invariant ~mod_:"Catalog" "descriptor exceeds partition size"
+    | Some addr ->
+        log_op ~log addr ~before:None (Part_op.Insert { slot = addr.Addr.slot; data });
+        addr
+  in
   match existing with
+  | None -> insert ()
   | Some (addr : Addr.t) -> (
+      let old = entity_exn t addr in
       match Segment.update_entity t.segment addr data with
       | () ->
-          let redo = Part_op.Update { slot = addr.Addr.slot; data } in
-          log (Addr.partition_of addr) ~redo ~undo:redo;
+          log_op ~log addr ~before:(Some old)
+            (Part_op.Update { slot = addr.Addr.slot; data });
           addr
-      | exception Partition.No_space _ -> (
-          Segment.delete_entity t.segment addr;
-          log (Addr.partition_of addr)
-            ~redo:(Part_op.Delete { slot = addr.Addr.slot })
-            ~undo:(Part_op.Delete { slot = addr.Addr.slot });
-          match Segment.insert_entity t.segment data with
-          | None -> Mrdb_util.Fatal.invariant ~mod_:"Catalog" "descriptor exceeds partition size"
-          | Some addr' ->
-              let redo = Part_op.Insert { slot = addr'.Addr.slot; data } in
-              log (Addr.partition_of addr') ~redo ~undo:redo;
-              addr'))
-  | None -> (
-      match Segment.insert_entity t.segment data with
-      | None -> Mrdb_util.Fatal.invariant ~mod_:"Catalog" "descriptor exceeds partition size"
-      | Some addr ->
-          let redo = Part_op.Insert { slot = addr.Addr.slot; data } in
-          log (Addr.partition_of addr) ~redo ~undo:redo;
-          addr)
-
-(* Note on catalog UNDO images: catalog mutations are system actions that
-   commit immediately and are never rolled back by user-transaction abort,
-   so the undo op recorded above is a placeholder equal to the redo. *)
+      | exception Partition.No_space _ ->
+          delete_entity_logged t ~log addr;
+          insert ())
 
 let rec store_rel t ~log rel =
   let addr =
@@ -215,24 +223,25 @@ and sync_own_partitions t ~log =
       store_part t ~log desc)
     (List.rev !missing)
 
+(* The one place an empty catalog over [segment] is built. *)
+let blank segment =
+  {
+    segment;
+    by_name = Hashtbl.create 16;
+    by_id = Hashtbl.create 16;
+    by_segment = Hashtbl.create 16;
+    part_index = Addr.Partition_table.create 64;
+    self_addr = Hashtbl.create 16;
+    part_addr = Addr.Partition_table.create 64;
+    non_resident = Segment_table.create 16;
+    non_resident_total = 0;
+    next_rel_id = 1;
+    next_seg_id = 1;
+    next_idx_id = 1;
+  }
+
 let create ~partition_bytes ~log =
-  let segment = Segment.create ~id:catalog_segment_id ~partition_bytes in
-  let t =
-    {
-      segment;
-      by_name = Hashtbl.create 16;
-      by_id = Hashtbl.create 16;
-      by_segment = Hashtbl.create 16;
-      part_index = Addr.Partition_table.create 64;
-      self_addr = Hashtbl.create 16;
-      part_addr = Addr.Partition_table.create 64;
-      non_resident = Segment_table.create 16;
-      non_resident_total = 0;
-      next_rel_id = 1;
-      next_seg_id = 1;
-      next_idx_id = 1;
-    }
-  in
+  let t = blank (Segment.create ~id:catalog_segment_id ~partition_bytes) in
   let cat =
     {
       rel_id = 0;
@@ -280,11 +289,6 @@ let add_index t ~log ~rel ~name ~kind ~key_column =
   (idx, idx_segment)
 
 let relation_of_segment t seg = Hashtbl.find_opt t.by_segment seg
-
-let delete_entity_logged t ~log (addr : Addr.t) =
-  Segment.delete_entity t.segment addr;
-  let redo = Part_op.Delete { slot = addr.Addr.slot } in
-  log (Addr.partition_of addr) ~redo ~undo:redo
 
 let drop_relation t ~log rel =
   if rel.rel_name = catalog_rel_name then
@@ -372,25 +376,9 @@ let fold_relations f t acc =
 let relations t =
   List.filter (fun rel -> rel.rel_name <> catalog_rel_name) (sorted_rels t)
 
-let decode_from_segment segment =
-  if Segment.id segment <> catalog_segment_id then
-    Mrdb_util.Fatal.misuse "Catalog.decode_from_segment: not the catalog segment";
-  let t =
-    {
-      segment;
-      by_name = Hashtbl.create 16;
-      by_id = Hashtbl.create 16;
-      by_segment = Hashtbl.create 16;
-      part_index = Addr.Partition_table.create 64;
-      self_addr = Hashtbl.create 16;
-      part_addr = Addr.Partition_table.create 64;
-      non_resident = Segment_table.create 16;
-      non_resident_total = 0;
-      next_rel_id = 1;
-      next_seg_id = 1;
-      next_idx_id = 1;
-    }
-  in
+(* Fill a blank catalog from the entities of its segment; [resident]
+   decides each partition descriptor's residency flag. *)
+let decode_into t ~resident =
   (* Pass 1: relation descriptors; pass 2: partition descriptors attach to
      the relation owning their segment. *)
   let part_entities = ref [] in
@@ -419,7 +407,7 @@ let decode_from_segment segment =
               part_entities := (addr, decode_part_body dec) :: !part_entities
           | tag -> Mrdb_util.Fatal.invariantf ~mod_:"Catalog" "bad entity tag %d" tag)
         p)
-    segment;
+    t.segment;
   if not (Hashtbl.mem t.by_name catalog_rel_name) then
     Mrdb_util.Fatal.invariant ~mod_:"Catalog"
       "decode_from_segment: missing __catalog__ descriptor";
@@ -431,8 +419,7 @@ let decode_from_segment segment =
             (Format.asprintf "partition descriptor %a has no owner"
                Addr.pp_partition desc.part)
       | Some rel ->
-          (* Only catalog partitions are in memory right now. *)
-          desc.resident <- desc.part.Addr.segment = catalog_segment_id;
+          desc.resident <- resident desc.part;
           if not desc.resident then count_non_resident t desc 1;
           rel.partitions <- rel.partitions @ [ desc ];
           Addr.Partition_table.replace t.part_index desc.part desc;
@@ -442,3 +429,24 @@ let decode_from_segment segment =
          Addr.compare_partition a.part b.part)
        !part_entities);
   t
+
+let decode_from_segment segment =
+  if Segment.id segment <> catalog_segment_id then
+    Mrdb_util.Fatal.misuse "Catalog.decode_from_segment: not the catalog segment";
+  (* Right after a restart only the catalog partitions are in memory. *)
+  decode_into (blank segment) ~resident:(fun (part : Addr.partition) ->
+      part.Addr.segment = catalog_segment_id)
+
+let reload t ~resident =
+  let f = decode_into (blank t.segment) ~resident in
+  t.by_name <- f.by_name;
+  t.by_id <- f.by_id;
+  t.by_segment <- f.by_segment;
+  t.part_index <- f.part_index;
+  t.self_addr <- f.self_addr;
+  t.part_addr <- f.part_addr;
+  t.non_resident <- f.non_resident;
+  t.non_resident_total <- f.non_resident_total;
+  t.next_rel_id <- f.next_rel_id;
+  t.next_seg_id <- f.next_seg_id;
+  t.next_idx_id <- f.next_idx_id

@@ -58,7 +58,13 @@ val segment : t -> Segment.t
 
 val catalog_rel : t -> rel_desc
 
-(** {2 Mutations (all logged through the sink argument)} *)
+(** {2 Mutations (all logged through the sink argument)}
+
+    Each change reaches the sink with its REDO image and a real UNDO
+    before-image (the old bytes for an update, [Delete] for an insert,
+    [Insert] of the old bytes for a delete), so a system transaction that
+    fails part-way rolls the catalog segment back like any partition; the
+    caller then {!reload}s the decoded state. *)
 
 val create_relation : t -> log:Relation.log_sink -> name:string -> schema:Schema.t -> rel_desc * int
 (** Returns the descriptor and the fresh segment id assigned to its tuples.
@@ -133,6 +139,13 @@ val decode_from_segment : Segment.t -> t
 (** Rebuild the in-memory catalog from a recovered catalog segment.  All
     partitions decode as non-resident except catalog partitions.
     @raise Failure on malformed entities. *)
+
+val reload : t -> resident:(Addr.partition -> bool) -> unit
+(** Rebuild the decoded state in place from the catalog segment, with
+    {!decode_from_segment}'s loop: the abort path of a system transaction,
+    after its UNDO has rolled the segment back.  [resident] gives each
+    surviving partition descriptor its residency.  Descriptor records
+    obtained before the call are stale afterwards. *)
 
 val encode_rel : rel_desc -> bytes
 val decode_rel : bytes -> rel_desc

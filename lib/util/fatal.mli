@@ -5,7 +5,7 @@
     design proves unreachable — a torn log page outside a crash window, a
     slot directory that disagrees with its live count) and {e caller
     misuse} (precondition violations at an API boundary).  [mrdb_lint]
-    rule R3 bans the bare partial forms ([failwith], [invalid_arg],
+    rule R10 bans the bare partial forms ([failwith], [invalid_arg],
     [assert false], [Option.get], [List.hd]) everywhere under [lib/];
     this module is the whitelisted replacement, so every "cannot happen"
     site is tagged with its module and greppable. *)
@@ -29,7 +29,7 @@ val misuse : string -> 'a
 (** A caller precondition violation.  Raises [Invalid_argument] with the
     given message (unchanged from the historical [invalid_arg] sites, so
     existing handlers and tests keep working) — but routed through here so
-    rule R3 can ban the bare form. *)
+    rule R10 can ban the bare form. *)
 
 val misusef : ('a, unit, string, 'b) format4 -> 'a
 (** [Printf]-style {!misuse}. *)

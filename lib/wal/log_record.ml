@@ -81,6 +81,8 @@ let rec read_varint b pos shift acc =
 
 let peek_bin_index b ~pos = read_varint b (pos + 1) 0 0
 
+let peek_txn_id b ~pos = read_varint b (skip_varint b (pos + 1)) 0 0
+
 let peek_seq b ~pos =
   let p = skip_varint b (pos + 1) in
   let p = skip_varint b p in

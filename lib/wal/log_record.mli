@@ -65,6 +65,11 @@ val peek_bin_index : bytes -> pos:int -> int
     an allocation-free varint scan.  The raw drain path uses it to route a
     frame to its partition bin without decoding the record. *)
 
+val peek_txn_id : bytes -> pos:int -> int
+(** Read just the transaction id out of an encoded record starting at
+    [pos], allocation-free (skips tag and bin index).  The replay kernel
+    tells a transaction's runs apart with it. *)
+
 val peek_seq : bytes -> pos:int -> int
 (** Read just the per-partition sequence number out of an encoded record
     starting at [pos], allocation-free (skips tag, bin index, txn id).

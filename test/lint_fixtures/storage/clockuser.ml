@@ -1,8 +1,8 @@
 (* Fixture: nondeterminism sources at varying reachability.  Only [stamp]
    is reachable from the fixture entry point (Driver.commit_like), so only
    its clock read is an R8 violation; [offline] is dead from the entry
-   points and must not be flagged; [tally] iterates a hash table but sorts
-   at the call site, which exempts it. *)
+   points and must not be flagged; [tally] iterates a hash table, which
+   the fixture configuration's allow row exempts. *)
 
 let stamp () = int_of_float (Sys.time ())
 

@@ -417,9 +417,14 @@ let test_graph_series_shapes () =
    built by its predecessors.  The stream is split across log pages (page
    images decoded to their payload frames) and a bin-buffer tail, and the
    watermark falls somewhere inside it: the base image holds the records
-   at or below it.  [Restorer.replay] must then leave exactly the
-   partition the list oracle ([Redo_oracle.apply_records]) does, with the
-   same max seq, through the relation layer and without it. *)
+   at or below it.  Consecutive records are grouped into transactions of
+   [run_len] records, and the stream may repeat a prefix of one
+   transaction's run right after it — what a crash between a record's
+   bin append and the ring-head advance leaves once restart drains the
+   chain again.  [Restorer.replay] must then leave exactly the partition
+   the list oracle ([Redo_oracle.apply_records]) does on the stream
+   without the copy, with the same max seq, through the relation layer
+   and without it. *)
 let kernel_schema =
   Schema.of_list [ ("a", Schema.Int); ("b", Schema.Int); ("c", Schema.Int) ]
 
@@ -432,7 +437,7 @@ let row v = Tuple.encode kernel_schema [| Schema.I v; Schema.I (Int64.neg v); Sc
 
 (* Interpret (kind, slot hint, value) triples against a model of the live
    slots, so every record applies cleanly in order. *)
-let kernel_stream choices =
+let kernel_stream ~run_len choices =
   let live = Array.make kernel_slots false in
   let pick_live s =
     let rec go i = if i = kernel_slots then None
@@ -445,13 +450,13 @@ let kernel_stream choices =
   in
   List.mapi
     (fun i (kind, s, v) ->
-      let seq = i + 1 and v64 = Int64.of_int (v - 500) in
+      let seq = i + 1 and txn_id = (i / run_len) + 1 and v64 = Int64.of_int (v - 500) in
       let cmd op_id key args =
-        Mrdb_wal.Log_record.make_cmd ~bin_index:0 ~txn_id:seq ~seq
+        Mrdb_wal.Log_record.make_cmd ~bin_index:0 ~txn_id ~seq
           ~cmd:(Mrdb_logical.Cmd_op.make ~op_id ~rel_id:kernel_rel_id ~key ~args)
       and phys op =
         Mrdb_wal.Log_record.make ~tag:Mrdb_wal.Log_record.Relation_op ~bin_index:0
-          ~txn_id:seq ~seq ~op
+          ~txn_id ~seq ~op
       in
       match (kind, pick_live s, pick_free s) with
       | (0 | 1), _, Some slot | _, None, Some slot ->
@@ -509,20 +514,42 @@ let kernel_relation partition =
   Segment.install seg partition;
   Relation.create ~id:kernel_rel_id ~name:"t" ~schema:kernel_schema ~segment:seg
 
+(* [records] with a copy of the first [p] records of run [j] inserted
+   right after them (run and prefix length wrapped into range). *)
+let with_repeat records ~run_len (j, p) =
+  let n = List.length records in
+  if n = 0 then records
+  else
+    let first = j mod ((n + run_len - 1) / run_len) * run_len in
+    let stop = Stdlib.min n (first + 1 + (p mod run_len)) in
+    List.concat
+      (List.mapi
+         (fun i r ->
+           if i = stop - 1 then r :: List.filteri (fun k _ -> k >= first && k < stop) records
+           else [ r ])
+         records)
+
 let prop_kernel_matches_oracle ~with_rel =
   let gen =
     QCheck.Gen.(
-      triple
-        (list_size (int_range 0 60) (triple (int_bound 7) (int_bound 15) (int_bound 1000)))
-        (float_bound_inclusive 1.0)
-        (list_size (int_bound 6) (int_range 1 14)))
+      pair
+        (triple
+           (list_size (int_range 0 60) (triple (int_bound 7) (int_bound 15) (int_bound 1000)))
+           (float_bound_inclusive 1.0)
+           (list_size (int_bound 6) (int_range 1 14)))
+        (pair (int_range 1 4) (opt (pair nat nat))))
   in
   QCheck.Test.make ~count:300
     ~name:(if with_rel then "kernel == list oracle (relation target)"
            else "kernel == list oracle (partition target)")
     (QCheck.make gen)
-    (fun (choices, wfrac, cuts) ->
-      let records = kernel_stream choices in
+    (fun ((choices, wfrac, cuts), (run_len, repeat)) ->
+      let records = kernel_stream ~run_len choices in
+      let stream =
+        match repeat with
+        | None -> records
+        | Some jp -> with_repeat records ~run_len jp
+      in
       let watermark = int_of_float (wfrac *. float_of_int (List.length records)) in
       let base = Partition.create ~size:kernel_part_bytes ~segment:kernel_seg ~partition:0 in
       let imaged =
@@ -541,11 +568,42 @@ let prop_kernel_matches_oracle ~with_rel =
       let replayed =
         Mrdb_recovery.Restorer.replay ~partition:kernel
           ?rel:(if with_rel then Some (lazy (kernel_relation kernel)) else None)
-          ~watermark (kernel_frames records ~cuts)
+          ~watermark (kernel_frames stream ~cuts)
       in
       replayed.Mrdb_recovery.Restorer.max_seq = oracle_max
-      && replayed.Mrdb_recovery.Restorer.frames = List.length records
+      && replayed.Mrdb_recovery.Restorer.frames = List.length stream
       && Bytes.equal (Partition.snapshot kernel) (Partition.snapshot oracle))
+
+(* Seqs need not rise across transactions in one bin: a transaction that
+   logged earlier can commit later.  Such a frame is a new run and
+   applies; only a repeat within the same transaction's run is skipped. *)
+let test_kernel_interleaved_runs () =
+  let phys txn_id seq op =
+    Mrdb_wal.Log_record.make ~tag:Mrdb_wal.Log_record.Relation_op ~bin_index:0 ~txn_id
+      ~seq ~op
+  and add txn_id seq slot =
+    Mrdb_wal.Log_record.make_cmd ~bin_index:0 ~txn_id ~seq
+      ~cmd:(Mrdb_logical.Cmd_op.make ~op_id:Mrdb_logical.Replay.op_add_col0
+              ~rel_id:kernel_rel_id ~key:slot ~args:[| 1L |])
+  in
+  let committed =
+    [
+      phys 1 1 (Part_op.Insert { slot = 0; data = row 10L });
+      phys 1 2 (Part_op.Insert { slot = 1; data = row 20L });
+      add 3 4 1;
+      add 2 3 0;
+    ]
+  in
+  let fresh () = Partition.create ~size:kernel_part_bytes ~segment:kernel_seg ~partition:0 in
+  let oracle = fresh () and kernel = fresh () in
+  ignore (Redo_oracle.apply_records ~partition:oracle ~watermark:0 committed : int);
+  let replayed =
+    Mrdb_recovery.Restorer.replay ~partition:kernel ~watermark:0
+      (kernel_frames (committed @ [ add 2 3 0 ]) ~cuts:[ 2 ])
+  in
+  check int_t "the repeat is skipped" 4 replayed.Mrdb_recovery.Restorer.applied;
+  check bool_t "each record applied once" true
+    (Bytes.equal (Partition.snapshot kernel) (Partition.snapshot oracle))
 
 let () =
   Alcotest.run "mrdb_recovery+analysis"
@@ -598,6 +656,10 @@ let () =
           [
             prop_kernel_matches_oracle ~with_rel:false;
             prop_kernel_matches_oracle ~with_rel:true;
+          ]
+        @ [
+            Alcotest.test_case "interleaved runs apply, repeats do not" `Quick
+              test_kernel_interleaved_runs;
           ] );
       ( "codec_model",
         [ Alcotest.test_case "tradeoff shapes" `Quick test_codec_model_shapes ] );
